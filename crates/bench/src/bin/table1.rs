@@ -2,7 +2,8 @@
 //! `RMGd` and their SAN reward structures, with the values obtained at the
 //! Table 3 baseline.
 
-use performability::{gsu::rmgd, GsuAnalysis, GsuParams};
+use performability::gsu::{rmgd, GopStateSets};
+use performability::{GsuAnalysis, GsuParams};
 use san::{Analyzer, RewardSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -34,9 +35,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "∫₀^φ h(τ)dτ", "instant-of-time at φ", "MARK(detected)==1 && MARK(failure)==0 -> 1", i_h
     );
 
+    let (s2, s4) = (p.clone(), p.clone());
     let spec = RewardSpec::new()
-        .rate_when(move |mk| p.in_a2(mk), 1.0)
-        .rate_when(move |mk| p.in_a4(mk), -1.0);
+        .rate_when(move |mk| s2.in_a2(mk), 1.0)
+        .rate_when(move |mk| s4.in_a4(mk), -1.0);
     let i_tau_h = analyzer.accumulated_reward(&spec, phi)?;
     println!(
         "{:<24} {:<34} {:<46} {:>12.4}",

@@ -1,9 +1,9 @@
-//! The end-to-end analysis pipeline: base models → constituent measures →
-//! performability index.
+//! The end-to-end analysis pipeline: a [`ScenarioSpec`] lowered to its
+//! three SAN reward models → constituent measures → performability index.
 
-use san::Analyzer;
+use san::{Analyzer, PlaceId};
 
-use crate::gsu::{self, rmgd, rmgp, rmnd};
+use crate::gsu::{self, lower, GdPlaces, GopStateSets, ScenarioSpec};
 use crate::{assemble, ConstituentMeasures, GammaPolicy, GsuParams, PerfError, Result, SweepPoint};
 
 /// Where the forward-progress fractions `ρ1`, `ρ2` come from.
@@ -16,13 +16,14 @@ enum OverheadSource {
     Fixed(f64, f64),
 }
 
-/// The complete guarded-operation performability analysis for one parameter
-/// set.
+/// The complete guarded-operation performability analysis for one model
+/// specification: the paper's parameters ([`GsuParams`] lowers to the
+/// paper-shaped spec) or a catalog scenario.
 ///
-/// Construction builds and solves everything that does not depend on φ (the
-/// `RMGp` steady state and the `RMNd(µnew)` full-window probability);
-/// evaluating a φ then costs three transient solutions on the small `RMGd` /
-/// `RMNd` chains.
+/// Construction lowers the spec through [`gsu::lower`] and solves
+/// everything that does not depend on φ (the `RMGp` steady state and the
+/// `RMNd(µnew)` full-window probability); evaluating a φ then costs three
+/// transient solutions on the `RMGd` / `RMNd` chains.
 ///
 /// # Example
 ///
@@ -37,32 +38,32 @@ enum OverheadSource {
 /// # }
 /// ```
 pub struct GsuAnalysis {
-    params: GsuParams,
+    spec: ScenarioSpec,
     gamma_policy: GammaPolicy,
     rho: (f64, f64),
     /// Stationary vector of the `RMGp` solve (when ρ was computed) — the
     /// warm-start seed for analyses at neighboring parameter points.
     rho_pi: Option<Vec<f64>>,
     rmgd_analyzer: Analyzer,
-    rmgd_places: rmgd::RmgdPlaces,
+    rmgd_places: GdPlaces,
     rmnd_new: Analyzer,
-    rmnd_new_places: rmnd::RmndPlaces,
+    rmnd_new_failure: PlaceId,
     rmnd_old: Analyzer,
-    rmnd_old_places: rmnd::RmndPlaces,
+    rmnd_old_failure: PlaceId,
     /// `P(X''_θ ∈ A''1)` — φ-independent, solved once.
     p_a1_norm_theta: f64,
 }
 
 impl GsuAnalysis {
-    /// Builds the three SAN reward models and solves the φ-independent
-    /// measures, with `(ρ1, ρ2)` computed from `RMGp`.
+    /// Lowers `spec` to the three SAN reward models and solves the
+    /// φ-independent measures, with `(ρ1, ρ2)` computed from `RMGp`.
     ///
     /// # Errors
     ///
-    /// Propagates parameter validation and model generation/solution
-    /// failures.
-    pub fn new(params: GsuParams) -> Result<Self> {
-        Self::build(params, OverheadSource::Computed, None)
+    /// Propagates parameter validation, phase-type compilation, and model
+    /// generation/solution failures.
+    pub fn new(spec: impl Into<ScenarioSpec>) -> Result<Self> {
+        Self::build(spec.into(), OverheadSource::Computed, None)
     }
 
     /// Like [`GsuAnalysis::new`] but warm-starting the `RMGp` steady solve
@@ -74,8 +75,8 @@ impl GsuAnalysis {
     /// # Errors
     ///
     /// Same failure modes as [`GsuAnalysis::new`].
-    pub fn new_continued(params: GsuParams, hint: Option<&[f64]>) -> Result<Self> {
-        Self::build(params, OverheadSource::Computed, hint)
+    pub fn new_continued(spec: impl Into<ScenarioSpec>, hint: Option<&[f64]>) -> Result<Self> {
+        Self::build(spec.into(), OverheadSource::Computed, hint)
     }
 
     /// Like [`GsuAnalysis::new`] but with `(ρ1, ρ2)` supplied directly
@@ -85,7 +86,11 @@ impl GsuAnalysis {
     ///
     /// Returns [`PerfError::InvalidParameter`] when a fraction is outside
     /// `[0, 1]`, and propagates model-building failures.
-    pub fn with_fixed_overhead(params: GsuParams, rho1: f64, rho2: f64) -> Result<Self> {
+    pub fn with_fixed_overhead(
+        spec: impl Into<ScenarioSpec>,
+        rho1: f64,
+        rho2: f64,
+    ) -> Result<Self> {
         for (name, v) in [("rho1", rho1), ("rho2", rho2)] {
             if !(0.0..=1.0).contains(&v) {
                 return Err(PerfError::InvalidParameter {
@@ -95,27 +100,28 @@ impl GsuAnalysis {
                 });
             }
         }
-        Self::build(params, OverheadSource::Fixed(rho1, rho2), None)
+        Self::build(spec.into(), OverheadSource::Fixed(rho1, rho2), None)
     }
 
-    fn build(params: GsuParams, overhead: OverheadSource, hint: Option<&[f64]>) -> Result<Self> {
+    fn build(spec: ScenarioSpec, overhead: OverheadSource, hint: Option<&[f64]>) -> Result<Self> {
+        let params = spec.params;
         params.validate()?;
         let mut span = telemetry::span("performability.build");
 
         let (rho, rho_pi) = match overhead {
             OverheadSource::Computed => {
-                let s = rmgp::solve_rho_continued(&params, hint)?;
+                let s = lower::solve_rho_continued(&spec, hint)?;
                 ((s.rho1, s.rho2), Some(s.pi))
             }
             OverheadSource::Fixed(r1, r2) => ((r1, r2), None),
         };
 
-        let rmgd = rmgd::build(&params)?;
+        let rmgd = lower::build_gd(&spec)?;
         let rmgd_analyzer = Analyzer::generate(&rmgd.model, &Default::default())?;
 
-        let new = rmnd::build(&params, params.mu_new)?;
+        let new = lower::build_np(&spec, params.mu_new)?;
         let rmnd_new = Analyzer::generate(&new.model, &Default::default())?;
-        let old = rmnd::build(&params, params.mu_old)?;
+        let old = lower::build_np(&spec, params.mu_old)?;
         let rmnd_old = Analyzer::generate(&old.model, &Default::default())?;
 
         let failure = new.places.failure;
@@ -131,16 +137,16 @@ impl GsuAnalysis {
         }
 
         Ok(GsuAnalysis {
-            params,
+            spec,
             gamma_policy: GammaPolicy::default(),
             rho,
             rho_pi,
             rmgd_analyzer,
             rmgd_places: rmgd.places,
             rmnd_new,
-            rmnd_new_places: new.places,
+            rmnd_new_failure: new.places.failure,
             rmnd_old,
-            rmnd_old_places: old.places,
+            rmnd_old_failure: old.places.failure,
             p_a1_norm_theta,
         })
     }
@@ -151,9 +157,14 @@ impl GsuAnalysis {
         self
     }
 
+    /// The model specification under analysis.
+    pub fn spec(&self) -> &ScenarioSpec {
+        &self.spec
+    }
+
     /// The parameter set under analysis.
     pub fn params(&self) -> &GsuParams {
-        &self.params
+        &self.spec.params
     }
 
     /// The forward-progress fractions `(ρ1, ρ2)` in use.
@@ -168,6 +179,16 @@ impl GsuAnalysis {
         self.rho_pi.as_deref()
     }
 
+    /// The analyzer of the lowered `RMGd` (for cross-validation probes).
+    pub fn gd_analyzer(&self) -> &Analyzer {
+        &self.rmgd_analyzer
+    }
+
+    /// The place handles of the lowered `RMGd`.
+    pub fn gd_places(&self) -> &GdPlaces {
+        &self.rmgd_places
+    }
+
     /// Solves all nine constituent reward variables for a G-OP duration φ.
     ///
     /// # Errors
@@ -175,24 +196,23 @@ impl GsuAnalysis {
     /// Returns [`PerfError::PhiOutOfRange`] for φ outside `[0, θ]` and
     /// propagates solver failures.
     pub fn measures(&self, phi: f64) -> Result<ConstituentMeasures> {
-        self.params.validate_phi(phi)?;
+        self.spec.params.validate_phi(phi)?;
         let mut span = telemetry::span("performability.measures");
         span.record("phi", phi);
-        let theta = self.params.theta;
+        let theta = self.spec.params.theta;
 
-        // RMGd measures (Table 1), via the state-set–generic engine shared
-        // with the scenario layer.
-        let gop = gsu::gop_measures(&self.rmgd_analyzer, self.rmgd_places, phi)?;
+        // RMGd measures (Table 1), via the state-set–generic engine.
+        let gop = gsu::gop_measures(&self.rmgd_analyzer, self.rmgd_places.clone(), phi)?;
         let (p_a1_gop, i_h, i_hf, i_tau_h, i_tau_h_exact) =
             (gop.p_a1, gop.i_h, gop.i_hf, gop.i_tau_h, gop.i_tau_h_exact);
 
         // RMNd measures (§5.2.3).
         let remaining = theta - phi;
-        let new_failure = self.rmnd_new_places.failure;
+        let new_failure = self.rmnd_new_failure;
         let p_a1_norm_rem = self
             .rmnd_new
             .probability_at(remaining, move |mk| mk.tokens(new_failure) == 0)?;
-        let old_failure = self.rmnd_old_places.failure;
+        let old_failure = self.rmnd_old_failure;
         let i_f = 1.0
             - self
                 .rmnd_old
@@ -229,7 +249,7 @@ impl GsuAnalysis {
         let mut span = telemetry::span("performability.evaluate");
         span.record("phi", phi);
         let measures = self.measures(phi)?;
-        let point = assemble(self.params.theta, phi, &measures, self.gamma_policy)?;
+        let point = assemble(self.spec.params.theta, phi, &measures, self.gamma_policy)?;
         if telemetry::enabled() {
             telemetry::counter("performability.evaluations", 1);
             span.record("y", point.y);
@@ -267,7 +287,7 @@ impl GsuAnalysis {
     /// lowest-index φ whose evaluation fails.
     pub fn sweep<I: IntoIterator<Item = f64>>(&self, phis: I) -> Result<Vec<SweepPoint>> {
         let phis: Vec<f64> = phis.into_iter().collect();
-        self.params.validate_phi_grid(&phis)?;
+        self.spec.params.validate_phi_grid(&phis)?;
         let workers = pool::Pool::current();
         let mut span = telemetry::span("performability.sweep");
         span.record("points", phis.len());
@@ -281,9 +301,20 @@ impl GsuAnalysis {
     ///
     /// Propagates evaluation failures.
     pub fn sweep_grid(&self, n: usize) -> Result<Vec<SweepPoint>> {
-        let theta = self.params.theta;
+        let theta = self.spec.params.theta;
         let n = n.max(1);
         self.sweep((0..=n).map(|i| theta * i as f64 / n as f64))
+    }
+
+    /// Evaluates the spec's own φ grid — a catalog scenario's golden curve,
+    /// or the figures' eleven-point grid for a [`GsuParams`] — pointwise,
+    /// exactly like [`GsuAnalysis::sweep`].
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`GsuAnalysis::sweep`].
+    pub fn curve(&self) -> Result<Vec<SweepPoint>> {
+        self.sweep(self.spec.phi_grid.iter().copied())
     }
 
     /// Evaluates an **ascending** φ grid in a single incremental pass:
@@ -299,13 +330,13 @@ impl GsuAnalysis {
     /// invalid-parameter error when the grid is not ascending, and
     /// propagates solver failures.
     pub fn sweep_incremental(&self, phis: &[f64]) -> Result<Vec<SweepPoint>> {
-        let theta = self.params.theta;
-        self.params.validate_phi_grid(phis)?;
+        let theta = self.spec.params.theta;
+        self.spec.params.validate_phi_grid(phis)?;
         if phis.is_empty() {
             return Ok(Vec::new());
         }
         let opts = markov::transient::Options::default();
-        let p = self.rmgd_places;
+        let p = &self.rmgd_places;
 
         // --- RMGd: distributions and accumulated rewards along the grid. --
         let gd_space = self.rmgd_analyzer.state_space();
@@ -317,12 +348,13 @@ impl GsuAnalysis {
             &opts,
         )?;
         // Accumulated ∫τh: propagate occupancy over each gap.
+        let (s2, s4) = (p.clone(), p.clone());
         let tau_spec = san::RewardSpec::new()
-            .rate_when(move |mk| p.in_a2(mk), 1.0)
-            .rate_when(move |mk| p.in_a4(mk), -1.0);
+            .rate_when(move |mk| s2.in_a2(mk), 1.0)
+            .rate_when(move |mk| s4.in_a4(mk), -1.0);
         let tau_structure = tau_spec.to_structure(gd_space);
         // Stopped chain for the exact truncated moment.
-        let detected_states = gd_space.states_where(|mk| mk.tokens(p.detected) == 1);
+        let detected_states = gd_space.states_where(|mk| p.is_detected(mk));
         let mut is_target = vec![false; gd.n_states()];
         for &s in &detected_states {
             is_target[s] = true;
@@ -354,8 +386,8 @@ impl GsuAnalysis {
             &remaining,
             &opts,
         )?;
-        let new_failure = self.rmnd_new_places.failure;
-        let old_failure = self.rmnd_old_places.failure;
+        let new_failure = self.rmnd_new_failure;
+        let old_failure = self.rmnd_old_failure;
 
         let mut out = Vec::with_capacity(phis.len());
         let mut prev_phi = 0.0;
@@ -426,7 +458,7 @@ impl GsuAnalysis {
     ///
     /// Propagates evaluation failures.
     pub fn optimal_phi(&self, grid: usize, refinements: usize) -> Result<SweepPoint> {
-        let theta = self.params.theta;
+        let theta = self.spec.params.theta;
         let grid = grid.max(2);
         let points = self.sweep_grid(grid)?;
         let Some(&first) = points.first() else {
@@ -481,7 +513,8 @@ impl GsuAnalysis {
 impl std::fmt::Debug for GsuAnalysis {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GsuAnalysis")
-            .field("params", &self.params)
+            .field("spec", &self.spec.name)
+            .field("params", &self.spec.params)
             .field("rho", &self.rho)
             .field("p_a1_norm_theta", &self.p_a1_norm_theta)
             .finish_non_exhaustive()
@@ -603,5 +636,28 @@ mod tests {
         assert!(best.y >= y0);
         assert!(best.y >= y_theta);
         assert!(best.phi > 0.0);
+    }
+
+    #[test]
+    fn curve_covers_the_spec_grid_and_starts_at_unity() {
+        let curve = analysis().curve().unwrap();
+        assert_eq!(curve.len(), 11);
+        assert!((curve[0].y - 1.0).abs() < 1e-9);
+        assert_eq!(curve[10].phi, 10_000.0);
+    }
+
+    #[test]
+    fn measures_validate_for_extended_scenarios() {
+        let mut spec = ScenarioSpec::from(GsuParams::paper_baseline());
+        spec.escorts = 2;
+        spec.at = gsu::Dist::Erlang {
+            k: 3,
+            rate: 3.0 * spec.params.alpha,
+        };
+        let an = GsuAnalysis::new(spec).unwrap();
+        for phi in [0.0, 5000.0, 10_000.0] {
+            let m = an.measures(phi).unwrap();
+            m.validate(phi).unwrap();
+        }
     }
 }

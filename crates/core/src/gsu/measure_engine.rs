@@ -3,14 +3,13 @@
 //! The Table 1 constituent measures are defined purely in terms of the
 //! `A'1 … A'4` state sets of a dependability model — not in terms of the
 //! paper's specific `RMGd` net. This module captures that contract as the
-//! [`GopStateSets`] trait plus one solver routine, [`gop_measures`], so the
-//! scenario layer can feed *generalized* G-OP models (multiple escorts,
-//! upgrade waves, aging states) through exactly the same translation that
-//! [`crate::GsuAnalysis`] uses for the paper's model.
+//! [`GopStateSets`] trait plus one solver routine, [`gop_measures`], which
+//! [`crate::GsuAnalysis`] runs on every lowered `RMGd` — the paper's and
+//! the generalized ones (multiple escorts, upgrade waves, aging states)
+//! alike.
 
 use san::{Analyzer, Marking, RewardSpec};
 
-use crate::gsu::rmgd::RmgdPlaces;
 use crate::Result;
 
 /// The state-set classification every guarded-operation dependability model
@@ -37,27 +36,6 @@ pub trait GopStateSets {
     fn is_detected(&self, mk: &Marking) -> bool;
 }
 
-impl GopStateSets for RmgdPlaces {
-    fn in_a1(&self, mk: &Marking) -> bool {
-        RmgdPlaces::in_a1(self, mk)
-    }
-    fn in_a2(&self, mk: &Marking) -> bool {
-        RmgdPlaces::in_a2(self, mk)
-    }
-    fn in_a3(&self, mk: &Marking) -> bool {
-        RmgdPlaces::in_a3(self, mk)
-    }
-    fn in_a4(&self, mk: &Marking) -> bool {
-        RmgdPlaces::in_a4(self, mk)
-    }
-    fn detected_then_failed(&self, mk: &Marking) -> bool {
-        RmgdPlaces::detected_then_failed(self, mk)
-    }
-    fn is_detected(&self, mk: &Marking) -> bool {
-        mk.tokens(self.detected) == 1
-    }
-}
-
 /// The five G-OP–model constituent measures of Table 1, solved on one
 /// dependability model for one φ.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -79,8 +57,7 @@ pub struct GopMeasures {
 /// state classification in `sets`.
 ///
 /// At `φ = 0` the G-OP process is degenerate (no error can occur in an
-/// empty interval) and the measures are returned in closed form, exactly
-/// as [`crate::GsuAnalysis`] does for the paper's model.
+/// empty interval) and the measures are returned in closed form.
 ///
 /// # Errors
 ///
@@ -146,7 +123,7 @@ mod tests {
         let analyzer = Analyzer::generate(&built.model, &Default::default()).unwrap();
         let direct = crate::GsuAnalysis::new(params).unwrap();
         for phi in [0.0, 2500.0, 7000.0] {
-            let engine = gop_measures(&analyzer, built.places, phi).unwrap();
+            let engine = gop_measures(&analyzer, built.places.clone(), phi).unwrap();
             let m = direct.measures(phi).unwrap();
             assert_eq!(engine.p_a1, m.p_a1_gop, "phi = {phi}");
             assert_eq!(engine.i_h, m.i_h, "phi = {phi}");

@@ -11,204 +11,25 @@
 //! (paper §3.3) — which is what licenses treating `ρ_{t,i}` as the
 //! steady-state quantities `ρ_i`.
 //!
-//! The MDCD rules represented:
-//!
-//! * `P1new` is always potentially contaminated ⇒ each of its **external**
-//!   messages undergoes an AT (duration `1/α`) that blocks `P1new`
-//!   (place `P1nExt`);
-//! * `P2` establishes a checkpoint (duration `1/β`, place `P1nInt`) when it
-//!   receives a message from `P1new` while its dirty bit is clear — the
-//!   receipt makes its clean state potentially contaminated; otherwise the
-//!   checkpoint is skipped (`P2SkipCKPT` in the paper — here the skip is the
-//!   absence of a state change);
-//! * `P2`'s **external** messages undergo an AT (place `P2Ext`) only while
-//!   its dirty bit is set; a passed AT clears the dirty bit;
-//! * the shadow `P1old` checkpoints when it receives a message from a dirty
-//!   `P2` while its own dirty bit is clear (place `P2Int`) — this costs
-//!   `P1old` time but does not reduce mission worth, since `P1old` is not
-//!   servicing the mission.
+//! The MDCD rules it represents are listed on [`lower::build_gp`]; here
+//! both safeguards are exponential, at rates `α` (AT) and `β` (checkpoint).
 //!
 //! The reward structures are exactly the paper's Table 2 predicate-rate
 //! pairs (see [`one_minus_rho1_spec`] and [`one_minus_rho2_spec`]).
 
-use san::{Activity, Case, Marking, PlaceId, RewardSpec, SanModel};
+use super::lower::{self, Gp, RhoSolution};
+use crate::{GsuParams, Result};
 
-use crate::GsuParams;
+pub use super::lower::{one_minus_rho1_spec, one_minus_rho2_spec};
 
-/// The places of the overhead model.
-#[derive(Debug, Clone, Copy)]
-pub struct RmgpPlaces {
-    /// `P1new` ready to make forward progress.
-    pub p1n_ready: PlaceId,
-    /// `P1new` blocked on an AT of its own external message.
-    pub p1n_ext: PlaceId,
-    /// `P2` blocked establishing a checkpoint for a `P1new` internal message.
-    pub p1n_int: PlaceId,
-    /// `P2` ready to make forward progress.
-    pub p2_ready: PlaceId,
-    /// `P2` blocked on an AT of its own external message.
-    pub p2_ext: PlaceId,
-    /// `P1old` blocked establishing a checkpoint for a `P2` internal message.
-    pub p2_int: PlaceId,
-    /// `P1old` ready.
-    pub p1o_ready: PlaceId,
-    /// `P2`'s dirty bit (`P2DB` in the paper).
-    pub p2_db: PlaceId,
-    /// `P1old`'s dirty bit (`P1oDB` in the paper).
-    pub p1o_db: PlaceId,
-}
-
-/// A built overhead model plus its place handles.
-#[derive(Debug)]
-pub struct Rmgp {
-    /// The SAN.
-    pub model: SanModel,
-    /// Handles to the places, for reward predicates.
-    pub places: RmgpPlaces,
-}
-
-/// Builds `RMGp` for the given parameters.
-pub fn build(params: &GsuParams) -> san::Result<Rmgp> {
-    let lambda = params.lambda;
-    let p_ext = params.p_ext;
-    let alpha = params.alpha;
-    let beta = params.beta;
-
-    let mut m = SanModel::new("RMGp");
-    let p1n_ready = m.add_place("P1nReady", 1);
-    let p1n_ext = m.add_place("P1nExt", 0);
-    let p1n_int = m.add_place("P1nInt", 0);
-    let p2_ready = m.add_place("P2Ready", 1);
-    let p2_ext = m.add_place("P2Ext", 0);
-    let p2_int = m.add_place("P2Int", 0);
-    let p1o_ready = m.add_place("P1oReady", 1);
-    let p2_db = m.add_place("P2DB", 0);
-    let p1o_db = m.add_place("P1oDB", 0);
-
-    // --- P1new's message cycle ---------------------------------------------
-    // External message (prob p_ext): P1new blocks on its AT.
-    // Internal message (prob 1−p_ext): if P2 is ready and clean, P2 blocks
-    // on a checkpoint; a busy or already-dirty P2 skips checkpointing.
-    let og_start_p2_ckpt = m.add_output_gate("p2_ckpt_or_skip", move |mk| {
-        if mk.tokens(p2_ready) == 1 && mk.tokens(p2_db) == 0 {
-            mk.set_tokens(p2_ready, 0);
-            mk.set_tokens(p1n_int, 1);
-        }
-    });
-    m.add_activity(
-        Activity::timed("P1nMsg", lambda)
-            .with_input_arc(p1n_ready, 1)
-            .with_case(Case::with_probability(p_ext).with_output_arc(p1n_ext, 1))
-            .with_case(
-                Case::with_probability(1.0 - p_ext)
-                    .with_output_arc(p1n_ready, 1)
-                    .with_output_gate(og_start_p2_ckpt),
-            ),
-    )?;
-    m.add_activity(
-        Activity::timed("P1nAT", alpha)
-            .with_input_arc(p1n_ext, 1)
-            .with_output_arc(p1n_ready, 1),
-    )?;
-    // Checkpoint completion: P2 resumes, now considered potentially
-    // contaminated.
-    let og_p2_dirty = m.add_output_gate("set_p2_db", move |mk| mk.set_tokens(p2_db, 1));
-    m.add_activity(
-        Activity::timed("P2_CKPT", beta)
-            .with_input_arc(p1n_int, 1)
-            .with_output_arc(p2_ready, 1)
-            .with_output_gate(og_p2_dirty),
-    )?;
-
-    // --- P2's message cycle -------------------------------------------------
-    // External message: AT only while dirty (P2SkipAT otherwise).
-    // Internal message: may trigger P1old's checkpoint when P2 is dirty and
-    // P1old clean.
-    let og_p2_ext = m.add_output_gate("p2_ext_or_skip", move |mk| {
-        if mk.tokens(p2_db) == 1 {
-            mk.set_tokens(p2_ready, 0);
-            mk.set_tokens(p2_ext, 1);
-        }
-    });
-    let og_p1o_ckpt = m.add_output_gate("p1o_ckpt_or_skip", move |mk| {
-        if mk.tokens(p2_db) == 1 && mk.tokens(p1o_db) == 0 && mk.tokens(p1o_ready) == 1 {
-            mk.set_tokens(p1o_ready, 0);
-            mk.set_tokens(p2_int, 1);
-        }
-    });
-    m.add_activity(
-        Activity::timed("P2Msg", lambda)
-            .with_enabling(move |mk| mk.tokens(p2_ready) == 1)
-            .with_case(Case::with_probability(p_ext).with_output_gate(og_p2_ext))
-            .with_case(Case::with_probability(1.0 - p_ext).with_output_gate(og_p1o_ckpt)),
-    )?;
-    // A passed AT restores confidence in P2.
-    let og_p2_clean = m.add_output_gate("clear_p2_db", move |mk| mk.set_tokens(p2_db, 0));
-    m.add_activity(
-        Activity::timed("P2AT", alpha)
-            .with_input_arc(p2_ext, 1)
-            .with_output_arc(p2_ready, 1)
-            .with_output_gate(og_p2_clean),
-    )?;
-    let og_p1o_dirty = m.add_output_gate("set_p1o_db", move |mk| mk.set_tokens(p1o_db, 1));
-    m.add_activity(
-        Activity::timed("P1o_CKPT", beta)
-            .with_input_arc(p2_int, 1)
-            .with_output_arc(p1o_ready, 1)
-            .with_output_gate(og_p1o_dirty),
-    )?;
-
-    Ok(Rmgp {
-        model: m,
-        places: RmgpPlaces {
-            p1n_ready,
-            p1n_ext,
-            p1n_int,
-            p2_ready,
-            p2_ext,
-            p2_int,
-            p1o_ready,
-            p2_db,
-            p1o_db,
-        },
-    })
-}
-
-/// The paper's Table 2 reward structure for `1 − ρ1`:
-/// predicate `MARK(P1nExt) == 1`, rate 1.
-pub fn one_minus_rho1_spec(places: &RmgpPlaces) -> RewardSpec {
-    let p1n_ext = places.p1n_ext;
-    RewardSpec::new().rate_when(move |mk: &Marking| mk.tokens(p1n_ext) == 1, 1.0)
-}
-
-/// The paper's Table 2 reward structure for `1 − ρ2`: predicate
-/// `(MARK(P1nInt)==1 && MARK(P2DB)==0) || (MARK(P2Ext)==1 && MARK(P2DB)==1)`,
-/// rate 1.
-pub fn one_minus_rho2_spec(places: &RmgpPlaces) -> RewardSpec {
-    let p1n_int = places.p1n_int;
-    let p2_ext = places.p2_ext;
-    let p2_db = places.p2_db;
-    RewardSpec::new().rate_when(
-        move |mk: &Marking| {
-            (mk.tokens(p1n_int) == 1 && mk.tokens(p2_db) == 0)
-                || (mk.tokens(p2_ext) == 1 && mk.tokens(p2_db) == 1)
-        },
-        1.0,
-    )
-}
-
-/// A solved `RMGp` steady state: the overhead measures plus the stationary
-/// vector they were read from, for warm-starting neighboring solves.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RhoSolution {
-    /// Forward-progress fraction of `P1new`.
-    pub rho1: f64,
-    /// Forward-progress fraction of `P2`.
-    pub rho2: f64,
-    /// The stationary distribution over the `RMGp` state space — pass it as
-    /// the `hint` of [`solve_rho_continued`] at a nearby parameter point
-    /// (parameter continuation) to cut the solver's iteration count.
-    pub pi: Vec<f64>,
+/// Builds `RMGp` for the given parameters: the paper-shaped lowering
+/// [`lower::build_gp`] of `ScenarioSpec::from(*params)`.
+///
+/// # Errors
+///
+/// Propagates SAN construction failures.
+pub fn build(params: &GsuParams) -> Result<Gp> {
+    lower::build_gp(&(*params).into())
 }
 
 /// Solves the steady-state overhead measures, returning `(ρ1, ρ2)`.
@@ -216,33 +37,18 @@ pub struct RhoSolution {
 /// # Errors
 ///
 /// Propagates SAN generation and steady-state solver failures.
-pub fn solve_rho(params: &GsuParams) -> san::Result<(f64, f64)> {
-    let s = solve_rho_continued(params, None)?;
-    Ok((s.rho1, s.rho2))
+pub fn solve_rho(params: &GsuParams) -> Result<(f64, f64)> {
+    lower::solve_rho(&(*params).into())
 }
 
-/// [`solve_rho`] with an optional warm-start `hint` — the stationary vector
-/// from a neighboring parameter point ([`RhoSolution::pi`]). Both reward
-/// measures are read from a single cached stationary solve.
+/// [`solve_rho`] with an optional warm-start `hint` — see
+/// [`lower::solve_rho_continued`].
 ///
 /// # Errors
 ///
 /// Propagates SAN generation and steady-state solver failures.
-pub fn solve_rho_continued(params: &GsuParams, hint: Option<&[f64]>) -> san::Result<RhoSolution> {
-    let rmgp = build(params)?;
-    let mut analyzer = san::Analyzer::generate(&rmgp.model, &Default::default())?
-        .with_steady_method(markov::steady::SteadyMethod::Auto);
-    if let Some(h) = hint {
-        analyzer = analyzer.with_steady_hint(h.to_vec());
-    }
-    let overhead1 = analyzer.steady_reward(&one_minus_rho1_spec(&rmgp.places))?;
-    let overhead2 = analyzer.steady_reward(&one_minus_rho2_spec(&rmgp.places))?;
-    let pi = analyzer.steady_distribution()?.as_ref().clone();
-    Ok(RhoSolution {
-        rho1: 1.0 - overhead1,
-        rho2: 1.0 - overhead2,
-        pi,
-    })
+pub fn solve_rho_continued(params: &GsuParams, hint: Option<&[f64]>) -> Result<RhoSolution> {
+    lower::solve_rho_continued(&(*params).into(), hint)
 }
 
 #[cfg(test)]
@@ -260,7 +66,7 @@ mod tests {
         // bit states are transient (P1oDB is set once and never cleared).
         let rmgp = build(&baseline()).unwrap();
         let ss = StateSpace::generate(&rmgp.model, &Default::default()).unwrap();
-        assert!(ss.n_states() <= 40, "got {}", ss.n_states());
+        assert_eq!(ss.n_states(), 24);
         let pi = markov::steady::steady_state(ss.ctmc(), &Default::default()).unwrap();
         assert!(sparsela::vector::is_stochastic(&pi, 1e-9));
     }

@@ -18,91 +18,19 @@
 //!   recovered system, running the old version, failing before the next
 //!   upgrade).
 
-use san::{Activity, Case, PlaceId, SanModel};
-
-use crate::GsuParams;
-
-/// The places of the normal-mode model, for use in reward predicates.
-#[derive(Debug, Clone, Copy)]
-pub struct RmndPlaces {
-    /// Actual contamination of the first active component.
-    pub p1_ctn: PlaceId,
-    /// Actual contamination of the second component (P2).
-    pub p2_ctn: PlaceId,
-    /// System failure (absorbing).
-    pub failure: PlaceId,
-}
-
-/// A built normal-mode model plus its place handles.
-#[derive(Debug)]
-pub struct Rmnd {
-    /// The SAN.
-    pub model: SanModel,
-    /// Handles to the places, for reward predicates.
-    pub places: RmndPlaces,
-}
+use super::lower::{self, Np};
+use crate::{GsuParams, Result};
 
 /// Builds `RMNd` with fault-manifestation rate `mu_first` for the first
 /// component (µ_new for the upgraded system, µ_old for the recovered one);
-/// P2 always runs an old version at `params.mu_old`.
-pub fn build(params: &GsuParams, mu_first: f64) -> san::Result<Rmnd> {
-    let lambda = params.lambda;
-    let p_ext = params.p_ext;
-    let mu_old = params.mu_old;
-
-    let mut m = SanModel::new("RMNd");
-    let p1_ctn = m.add_place("P1ctn", 0);
-    let p2_ctn = m.add_place("P2ctn", 0);
-    let failure = m.add_place("failure", 0);
-
-    let live = move |mk: &san::Marking| mk.tokens(failure) == 0;
-
-    // Fault manifestations.
-    m.add_activity(
-        Activity::timed("P1fm", mu_first)
-            .with_enabling(move |mk| live(mk) && mk.tokens(p1_ctn) == 0)
-            .with_output_arc(p1_ctn, 1),
-    )?;
-    m.add_activity(
-        Activity::timed("P2fm", mu_old)
-            .with_enabling(move |mk| live(mk) && mk.tokens(p2_ctn) == 0)
-            .with_output_arc(p2_ctn, 1),
-    )?;
-
-    // Message sending by a contaminated process: external messages fail the
-    // system, internal messages contaminate the peer. Messages from clean
-    // processes change no state and are therefore not modelled.
-    // Failure is absorbing; contamination no longer matters, so the gate
-    // canonicalizes it away and all failure paths merge into one state.
-    let og_fail = m.add_output_gate("fail", move |mk| {
-        mk.set_tokens(failure, 1);
-        mk.set_tokens(p1_ctn, 0);
-        mk.set_tokens(p2_ctn, 0);
-    });
-    let og_p1_to_p2 = m.add_output_gate("contaminate_p2", move |mk| mk.set_tokens(p2_ctn, 1));
-    let og_p2_to_p1 = m.add_output_gate("contaminate_p1", move |mk| mk.set_tokens(p1_ctn, 1));
-
-    m.add_activity(
-        Activity::timed("P1msg", lambda)
-            .with_enabling(move |mk| live(mk) && mk.tokens(p1_ctn) == 1)
-            .with_case(Case::with_probability(p_ext).with_output_gate(og_fail))
-            .with_case(Case::with_probability(1.0 - p_ext).with_output_gate(og_p1_to_p2)),
-    )?;
-    m.add_activity(
-        Activity::timed("P2msg", lambda)
-            .with_enabling(move |mk| live(mk) && mk.tokens(p2_ctn) == 1)
-            .with_case(Case::with_probability(p_ext).with_output_gate(og_fail))
-            .with_case(Case::with_probability(1.0 - p_ext).with_output_gate(og_p2_to_p1)),
-    )?;
-
-    Ok(Rmnd {
-        model: m,
-        places: RmndPlaces {
-            p1_ctn,
-            p2_ctn,
-            failure,
-        },
-    })
+/// P2 always runs an old version at `params.mu_old`. This is the
+/// paper-shaped lowering [`lower::build_np`] of `ScenarioSpec::from(*params)`.
+///
+/// # Errors
+///
+/// Propagates SAN construction failures.
+pub fn build(params: &GsuParams, mu_first: f64) -> Result<Np> {
+    lower::build_np(&(*params).into(), mu_first)
 }
 
 #[cfg(test)]

@@ -26,7 +26,10 @@
 //! ([`ConstituentMeasures`]), each solved on one of three small SAN reward
 //! models (module [`gsu`]): `RMGd`, `RMGp` and `RMNd`. The [`GsuAnalysis`]
 //! pipeline runs the whole chain and [`assemble`] recombines the measures
-//! into `Y(φ)`.
+//! into `Y(φ)`. One lowering builds the models from a [`ScenarioSpec`]:
+//! the paper's parameters are its paper-shaped case, and the same pipeline
+//! serves generalized scenarios (more escorts, upgrade waves, degrading
+//! coverage, aging, phase-type safeguards).
 //!
 //! # Example
 //!
@@ -64,6 +67,7 @@ pub mod validation;
 
 pub use analysis::GsuAnalysis;
 pub use error::PerfError;
+pub use gsu::ScenarioSpec;
 pub use index::{assemble, GammaPolicy, SweepPoint};
 pub use measures::ConstituentMeasures;
 pub use params::GsuParams;

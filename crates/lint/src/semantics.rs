@@ -1,16 +1,17 @@
 //! Layer 2: the model-semantics pass.
 //!
 //! Unlike the lexical pass, this layer checks the **actual constructed
-//! models**: it builds the paper's three SAN reward models (`RMGd`, `RMGp`,
-//! `RMNd`) from [`GsuParams`], generates their tangible state spaces, and
-//! verifies the properties every solver in the pipeline silently assumes —
+//! models**: it lowers [`GsuParams`] (or a catalog scenario) to the three
+//! SAN reward models (`RMGd`, `RMGp`, `RMNd`), generates their tangible
+//! state spaces, and verifies the properties every solver in the pipeline
+//! silently assumes —
 //! generator well-formedness, reachability structure matching the solver
 //! the model is fed to, SAN liveness/boundedness, and reward-variable
 //! well-formedness over the *reachable* markings. Every finding names the
 //! offending state, activity, pair, or parameter.
 
 use markov::graph::{can_reach, strongly_connected_components};
-use performability::gsu::{rmgd, rmgp, rmnd, GopStateSets};
+use performability::gsu::{lower, Dist, GopStateSets, ScenarioSpec};
 use performability::GsuParams;
 use san::{RewardSpec, SanModel, StateSpace};
 use sparsela::CsrMatrix;
@@ -325,65 +326,18 @@ pub fn check_params(params: &GsuParams, phis: &[f64]) -> Vec<Finding> {
 /// i.e. 1-bounded).
 pub const GSU_PLACE_BOUND: u32 = 1;
 
-/// Builds the paper's models from `params` and runs every semantic check:
-/// `RMGd` (absorbing, guarded mode), `RMGp` (irreducible, solved for
-/// steady-state performance levels), and `RMNd` at both µ_new and µ_old
-/// (absorbing, normal mode) — plus the reward variables each one carries.
+/// Lowers `params` to the paper-shaped spec and runs every semantic check
+/// on the paper's models: `RMGd` (absorbing, guarded mode), `RMGp`
+/// (irreducible, solved for steady-state performance levels), and `RMNd`
+/// at both µ_new and µ_old (absorbing, normal mode) — plus the reward
+/// variables each one carries.
 ///
 /// Construction failures surface as `model-build` findings rather than
 /// errors: a model that cannot even be built is precisely what the gate
 /// exists to catch.
 pub fn check_gsu_models(params: &GsuParams) -> Vec<Finding> {
     let mut span = telemetry::span("lint.models");
-    let mut findings = check_params(params, &[0.0, params.theta * 0.5, params.theta]);
-
-    findings.extend(check_one_san(
-        "RMGd",
-        || -> san::Result<_> {
-            let built = rmgd::build(params)?;
-            let in_a1 = built.places;
-            let spec =
-                RewardSpec::new().rate_fn(move |mk| in_a1.in_a1(mk) || in_a1.in_a2(mk), |_| 1.0);
-            Ok((built.model, vec![("occupancy".to_string(), spec)]))
-        },
-        SolverIntent::Absorbing,
-        GSU_PLACE_BOUND,
-    ));
-
-    findings.extend(check_one_san(
-        "RMGp",
-        || -> san::Result<_> {
-            let built = rmgp::build(params)?;
-            let places = built.places;
-            Ok((
-                built.model,
-                vec![
-                    ("1-rho1".to_string(), rmgp::one_minus_rho1_spec(&places)),
-                    ("1-rho2".to_string(), rmgp::one_minus_rho2_spec(&places)),
-                ],
-            ))
-        },
-        SolverIntent::SteadyState,
-        GSU_PLACE_BOUND,
-    ));
-
-    for (label, mu_first) in [
-        ("RMNd[mu_new]", params.mu_new),
-        ("RMNd[mu_old]", params.mu_old),
-    ] {
-        findings.extend(check_one_san(
-            label,
-            || -> san::Result<_> {
-                let built = rmnd::build(params, mu_first)?;
-                let failure = built.places.failure;
-                let spec = RewardSpec::new().rate_when(move |mk| mk.tokens(failure) == 0, 1.0);
-                Ok((built.model, vec![("survival".to_string(), spec)]))
-            },
-            SolverIntent::Absorbing,
-            GSU_PLACE_BOUND,
-        ));
-    }
-
+    let findings = check_spec_models(&ScenarioSpec::from(*params), "");
     span.record("findings", findings.len());
     findings
 }
@@ -459,18 +413,23 @@ pub fn check_scenarios(dir: &std::path::Path) -> Vec<Finding> {
     findings
 }
 
-/// Compiles one scenario's three generalized models and runs the full
-/// semantic battery on each.
-pub fn check_scenario_models(spec: &gsu_scenario::ScenarioSpec) -> Vec<Finding> {
-    use gsu_scenario::model as scen;
+/// Lowers one scenario to its three models and runs the full semantic
+/// battery on each.
+pub fn check_scenario_models(spec: &ScenarioSpec) -> Vec<Finding> {
+    check_spec_models(spec, &format!("scenario:{}/", spec.name))
+}
 
-    let name = &spec.name;
+/// The battery of [`check_gsu_models`] and [`check_scenario_models`]: the
+/// spec's parameters over its φ grid, then each lowered model with the
+/// solver intent it is actually fed to. Models are labelled `prefix` +
+/// `RMGd`, `RMGp`, `RMNd[mu_new]` and `RMNd[mu_old]`.
+fn check_spec_models(spec: &ScenarioSpec, prefix: &str) -> Vec<Finding> {
     let bound = scenario_place_bound(spec);
     let mut findings = check_params(&spec.params, &spec.phi_grid);
     findings.extend(check_one_san(
-        &format!("scenario:{name}/Gd"),
+        &format!("{prefix}RMGd"),
         || -> performability::Result<_> {
-            let built = scen::build_gd(spec)?;
+            let built = lower::build_gd(spec)?;
             let places = built.places.clone();
             let occupancy =
                 RewardSpec::new().rate_fn(move |mk| places.in_a1(mk) || places.in_a2(mk), |_| 1.0);
@@ -480,15 +439,15 @@ pub fn check_scenario_models(spec: &gsu_scenario::ScenarioSpec) -> Vec<Finding> 
         bound,
     ));
     findings.extend(check_one_san(
-        &format!("scenario:{name}/Gp"),
+        &format!("{prefix}RMGp"),
         || -> performability::Result<_> {
-            let built = scen::build_gp(spec)?;
+            let built = lower::build_gp(spec)?;
             let places = built.places;
             Ok((
                 built.model,
                 vec![
-                    ("1-rho1".to_string(), scen::one_minus_rho1_spec(&places)),
-                    ("1-rho2".to_string(), scen::one_minus_rho2_spec(&places)),
+                    ("1-rho1".to_string(), lower::one_minus_rho1_spec(&places)),
+                    ("1-rho2".to_string(), lower::one_minus_rho2_spec(&places)),
                 ],
             ))
         },
@@ -500,9 +459,9 @@ pub fn check_scenario_models(spec: &gsu_scenario::ScenarioSpec) -> Vec<Finding> 
         ("mu_old", spec.params.mu_old),
     ] {
         findings.extend(check_one_san(
-            &format!("scenario:{name}/Np[{label}]"),
+            &format!("{prefix}RMNd[{label}]"),
             || -> performability::Result<_> {
-                let built = scen::build_np(spec, mu_first)?;
+                let built = lower::build_np(spec, mu_first)?;
                 let failure = built.places.failure;
                 let survival = RewardSpec::new().rate_when(move |mk| mk.tokens(failure) == 0, 1.0);
                 Ok((built.model, vec![("survival".to_string(), survival)]))
@@ -517,13 +476,13 @@ pub fn check_scenario_models(spec: &gsu_scenario::ScenarioSpec) -> Vec<Finding> 
 /// The token bound a scenario's compiled models are allowed to reach. The
 /// base nets are safe, but phase-type expansions count stages (or branch
 /// indices) in a single place, and staged rollouts count completed waves.
-fn scenario_place_bound(spec: &gsu_scenario::ScenarioSpec) -> u32 {
-    fn dist_bound(dist: &gsu_scenario::Dist) -> u32 {
+fn scenario_place_bound(spec: &ScenarioSpec) -> u32 {
+    fn dist_bound(dist: &Dist) -> u32 {
         match dist {
-            gsu_scenario::Dist::Exp { .. } => 1,
-            gsu_scenario::Dist::Erlang { k, .. } => *k as u32,
-            gsu_scenario::Dist::Hyper { branches } => branches.len() as u32,
-            gsu_scenario::Dist::Det { stages, .. } => *stages as u32,
+            Dist::Exp { .. } => 1,
+            Dist::Erlang { k, .. } => *k as u32,
+            Dist::Hyper { branches } => branches.len() as u32,
+            Dist::Det { stages, .. } => *stages as u32,
         }
     }
     let waves = spec

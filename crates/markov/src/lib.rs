@@ -46,7 +46,6 @@ pub mod fox_glynn;
 pub mod graph;
 pub mod phase_type;
 pub mod reward;
-pub mod simulate;
 pub mod steady;
 pub mod transient;
 

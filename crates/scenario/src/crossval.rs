@@ -21,7 +21,7 @@
 use san::simulate::{estimate_instant_reward, SimulationOptions};
 use san::RewardSpec;
 
-use crate::analysis::ScenarioAnalysis;
+use crate::ScenarioAnalysis;
 use crate::ScenarioError;
 
 /// DES work ceiling for extended scenarios: expected events per trajectory
@@ -98,7 +98,7 @@ impl CrossvalReport {
 /// Picks the backend for a scenario.
 pub fn backend_for(spec: &crate::ScenarioSpec) -> Backend {
     if spec.is_paper_shaped() {
-        if spec.events_per_trajectory() <= MAX_EXACT_EVENTS_PER_TRAJECTORY {
+        if events_per_trajectory(spec) <= MAX_EXACT_EVENTS_PER_TRAJECTORY {
             Backend::MdcdExact
         } else {
             Backend::MdcdHybrid
@@ -106,6 +106,13 @@ pub fn backend_for(spec: &crate::ScenarioSpec) -> Backend {
     } else {
         Backend::SanDes
     }
+}
+
+/// Expected number of discrete events per exact-simulation trajectory —
+/// used to pick the cross-validation backend.
+fn events_per_trajectory(spec: &crate::ScenarioSpec) -> f64 {
+    let horizon = spec.phi_grid.last().copied().unwrap_or(spec.params.theta);
+    spec.params.lambda * horizon * (spec.escorts as f64 + 1.0)
 }
 
 /// Selects up to `max_points` interior φ values from the scenario grid
@@ -174,13 +181,13 @@ pub fn crossval(
             points
         }
         Backend::SanDes => {
-            if spec.events_per_trajectory() > MAX_DES_EVENTS_PER_TRAJECTORY {
+            if events_per_trajectory(spec) > MAX_DES_EVENTS_PER_TRAJECTORY {
                 return Err(ScenarioError::Invalid {
                     file: spec.name.clone(),
                     message: format!(
                         "extended scenario expects ~{:.0} events per DES trajectory \
                          (limit {MAX_DES_EVENTS_PER_TRAJECTORY:.0}); scale theta/lambda down",
-                        spec.events_per_trajectory()
+                        events_per_trajectory(spec)
                     ),
                 });
             }

@@ -3,10 +3,12 @@
 //! The paper's analysis covers one model shape: a single escorted process,
 //! exponential safeguard durations, constant AT coverage. This crate
 //! describes *families* of guarded software upgrades in a small line-based
-//! DSL (`.gsu` files — see `SCENARIOS.md` for the grammar), lowers each
-//! scenario onto generalized SAN reward models through the same successive
-//! model translation, and cross-validates the analytic Y(φ) curves against
-//! Monte-Carlo simulation. The committed catalog under `scenarios/` with
+//! DSL (`.gsu` files — see `SCENARIOS.md` for the grammar) and
+//! cross-validates their analytic Y(φ) curves against Monte-Carlo
+//! simulation. It holds text and validation only: a parsed
+//! [`ScenarioSpec`] is analysed by `performability::GsuAnalysis` (re-exported
+//! here as [`ScenarioAnalysis`]), through the same lowering that builds the
+//! paper's models ([`model`]). The committed catalog under `scenarios/` with
 //! golden curves under `results/golden/` is the regression surface.
 //!
 //! ```
@@ -29,16 +31,17 @@
 pub mod ast;
 pub mod catalog;
 pub mod crossval;
-pub mod model;
 pub mod parse;
 
-mod analysis;
-
-pub use analysis::ScenarioAnalysis;
-pub use ast::{AgingSpec, Dist, ScenarioSpec, WaveSpec};
+pub use ast::{to_dsl, AgingSpec, Dist, ScenarioSpec, WaveSpec};
 pub use catalog::{load_dir, read_golden, write_golden, GoldenCurve};
 pub use crossval::{crossval, Backend, CrossvalPoint, CrossvalReport};
 pub use parse::{parse, ParseError, ParseErrorKind};
+/// The one lowering from a [`ScenarioSpec`] to the `RMGd` / `RMGp` /
+/// `RMNd` SAN reward models.
+pub use performability::gsu::lower as model;
+/// The analysis of a scenario: the same type as the paper's pipeline.
+pub use performability::GsuAnalysis as ScenarioAnalysis;
 
 /// Errors produced by catalog loading and cross-validation.
 #[derive(Debug)]

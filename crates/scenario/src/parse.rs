@@ -8,6 +8,7 @@
 
 use std::collections::HashMap;
 
+use performability::gsu::spec::{DEFAULT_SIM_REPLICATIONS, DEFAULT_SIM_SEED};
 use performability::GsuParams;
 
 use crate::ast::{
@@ -567,8 +568,10 @@ pub fn parse(text: &str) -> Result<ScenarioSpec, ParseError> {
         coverage_decay: numbers.get("coverage_decay").copied().unwrap_or(0.0),
         aging,
         phi_grid,
-        sim_replications: numbers.get("sim_reps").map_or(1500, |&n| n as usize),
-        sim_seed: sim_seed.unwrap_or(7),
+        sim_replications: numbers
+            .get("sim_reps")
+            .map_or(DEFAULT_SIM_REPLICATIONS, |&n| n as usize),
+        sim_seed: sim_seed.unwrap_or(DEFAULT_SIM_SEED),
     })
 }
 

@@ -46,8 +46,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use gsu_scenario::{ScenarioAnalysis, ScenarioSpec};
-use performability::{GsuAnalysis, GsuParams, SweepPoint};
+use performability::{GsuAnalysis, GsuParams, PerfError, ScenarioSpec, SweepPoint};
 use telemetry::{ArgValue, Collector, FinishedSpan, Level, TraceContext, WindowHistogram};
 
 use http::{fmt_f64, json_escape, Request, Response};
@@ -81,7 +80,7 @@ pub const WINDOW_ROUTES: &[&str] = &[
 pub const OTHER_ROUTE: &str = "other";
 
 struct ServerState {
-    analysis: GsuAnalysis,
+    analysis: Arc<GsuAnalysis>,
     collector: Arc<Collector>,
     start: Instant,
     ready: AtomicBool,
@@ -117,15 +116,11 @@ struct ServerState {
     /// The `.gsu` scenario catalog served by `/eval?scenario=`, keyed by
     /// scenario name.
     scenarios: Mutex<BTreeMap<String, ScenarioSpec>>,
-    /// Lazily built per-scenario analyses: scenario pipelines are expensive
-    /// to construct (state-space generation), so each is built on first
-    /// request and reused.
-    scenario_cache: Mutex<HashMap<String, Arc<ScenarioAnalysis>>>,
-    /// Lazily built paper analyses for `/eval` parameter overrides
-    /// (`mu_new=`, `coverage=`, `theta=`), keyed by the params fingerprint —
-    /// the same memoization pattern as `scenario_cache`, so repeated
-    /// evaluations against one parameter assignment build its state spaces
-    /// and ρ solve once.
+    /// Lazily built analyses for catalog scenarios and `/eval` parameter
+    /// overrides (`mu_new=`, `coverage=`, `theta=`), keyed by
+    /// [`model_fingerprint`]: each model (state-space generation and ρ
+    /// solve) is built on first request and reused by every request that
+    /// lowers to the same models.
     analysis_cache: Mutex<HashMap<String, Arc<GsuAnalysis>>>,
 }
 
@@ -191,7 +186,7 @@ impl Server {
             .collect();
         let request_log_cap = telemetry::env_usize(REQUEST_LOG_CAP_ENV, DEFAULT_REQUEST_LOG_CAP);
         let state = Arc::new(ServerState {
-            analysis,
+            analysis: Arc::new(analysis),
             collector,
             start: Instant::now(),
             ready: AtomicBool::new(true),
@@ -206,7 +201,6 @@ impl Server {
             params_fingerprint: params_fingerprint(&params),
             requests: Mutex::new(VecDeque::with_capacity(request_log_cap.min(1024))),
             scenarios: Mutex::new(BTreeMap::new()),
-            scenario_cache: Mutex::new(HashMap::new()),
             analysis_cache: Mutex::new(HashMap::new()),
         });
         let server = Server {
@@ -239,12 +233,6 @@ impl Server {
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         *scenarios = specs.into_iter().map(|s| (s.name.clone(), s)).collect();
-        drop(scenarios);
-        self.state
-            .scenario_cache
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
         Ok(count)
     }
 
@@ -541,21 +529,22 @@ fn eval(state: &ServerState, request: &Request, queue_us: u64) -> Response {
     let scenario_name = request.query_value("scenario").map(str::to_string);
     // Every failure names the offending query parameter — `scenario` and
     // `phi` alike — so clients can distinguish a bad duration from a bad
-    // scenario reference without parsing prose.
-    let fail = |param: &str, phi: Option<f64>, msg: &str| -> Response {
+    // scenario reference without parsing prose. A solver breakdown is
+    // charged to `solver` with a 500 instead (see `failure`).
+    let fail = |status: u16, param: &str, phi: Option<f64>, msg: &str| -> Response {
         record_wide_event(
             state,
             trace_id,
             scenario_name.as_deref(),
             phi,
-            400,
+            status,
             None,
             started.elapsed(),
             queue_us,
             Some(msg),
         );
         Response::json(
-            400,
+            status,
             format!(
                 "{{\"error\":\"{}\",\"param\":\"{param}\"}}",
                 json_escape(msg)
@@ -568,17 +557,17 @@ fn eval(state: &ServerState, request: &Request, queue_us: u64) -> Response {
         None => None,
         Some(name) => match lookup_scenario(state, name) {
             Ok(spec) => Some(spec),
-            Err(msg) => return fail("scenario", None, &msg),
+            Err(msg) => return fail(400, "scenario", None, &msg),
         },
     };
     let Some(raw) = request.query_value("phi") else {
-        return fail("phi", None, "missing query parameter phi");
+        return fail(400, "phi", None, "missing query parameter phi");
     };
     let Ok(phi) = raw.parse::<f64>() else {
-        return fail("phi", None, &format!("unparsable phi: {raw}"));
+        return fail(400, "phi", None, &format!("unparsable phi: {raw}"));
     };
     if !phi.is_finite() || phi < 0.0 {
-        return fail("phi", Some(phi), &format!("phi out of domain: {phi}"));
+        return fail(400, "phi", Some(phi), &format!("phi out of domain: {phi}"));
     }
     // Paper-parameter overrides (`mu_new=`, `coverage=`, `theta=`): only
     // meaningful against the paper model, so they are rejected alongside a
@@ -587,6 +576,7 @@ fn eval(state: &ServerState, request: &Request, queue_us: u64) -> Response {
         Ok(params) => {
             if params.is_some() && scenario_spec.is_some() {
                 return fail(
+                    400,
                     "scenario",
                     Some(phi),
                     "parameter overrides do not apply to catalog scenarios",
@@ -594,7 +584,7 @@ fn eval(state: &ServerState, request: &Request, queue_us: u64) -> Response {
             }
             params
         }
-        Err((param, msg)) => return fail(param, Some(phi), &msg),
+        Err((param, msg)) => return fail(400, param, Some(phi), &msg),
     };
     // The eval span (and every solver span nested inside it) must be dropped
     // — hence recorded — before the wide event reconstructs the request's
@@ -602,25 +592,17 @@ fn eval(state: &ServerState, request: &Request, queue_us: u64) -> Response {
     let result = {
         let mut span = telemetry::span("serve.eval");
         span.record("phi", phi);
-        let result = match scenario_spec {
-            None => match overridden {
-                None => state
-                    .analysis
-                    .evaluate(phi)
-                    .map_err(|e| ("phi", e.to_string())),
-                Some(params) => paper_analysis(state, params)
-                    .map_err(|msg| ("params", msg))
-                    .and_then(|analysis| {
-                        analysis.evaluate(phi).map_err(|e| ("phi", e.to_string()))
-                    }),
-            },
-            Some(spec) => {
+        let analysis = match (scenario_spec, overridden) {
+            (Some(spec), _) => {
                 span.record("scenario", spec.name.as_str());
-                scenario_analysis(state, spec)
-                    .map_err(|msg| ("scenario", msg))
-                    .and_then(|analysis| analysis.evaluate(phi).map_err(|e| ("phi", e.to_string())))
+                cached_analysis(state, spec).map_err(|e| failure("scenario", &e))
             }
+            (None, Some(params)) => {
+                cached_analysis(state, params.into()).map_err(|e| failure("params", &e))
+            }
+            (None, None) => Ok(state.analysis.clone()),
         };
+        let result = analysis.and_then(|a| a.evaluate(phi).map_err(|e| failure("phi", &e)));
         if let Ok(point) = &result {
             span.record("y", point.y);
         }
@@ -650,8 +632,22 @@ fn eval(state: &ServerState, request: &Request, queue_us: u64) -> Response {
             body.push_str(&sweep_point_json(&point)[1..]);
             Response::json(200, body)
         }
-        Err((param, msg)) => fail(param, Some(phi), &msg),
+        Err((status, param, msg)) => fail(status, param, Some(phi), &msg),
     }
+}
+
+/// Classifies an analysis failure as `(status, param, message)`: a value
+/// outside its domain is the client's fault (400, charged to `param`); a
+/// numerical or model breakdown is the server's (500, charged to
+/// `solver`).
+fn failure(param: &'static str, e: &PerfError) -> (u16, &'static str, String) {
+    let (status, param) = match e {
+        PerfError::PhiOutOfRange { .. } | PerfError::InvalidParameter { .. } => (400, param),
+        PerfError::MeasureInvariant { .. } | PerfError::San(_) | PerfError::Markov(_) => {
+            (500, "solver")
+        }
+    };
+    (status, param, e.to_string())
 }
 
 /// Finds a scenario by name in the loaded catalog.
@@ -700,64 +696,51 @@ fn paper_overrides(request: &Request) -> Result<Option<GsuParams>, (&'static str
     Ok(any.then_some(params))
 }
 
-/// Returns the cached paper analysis for an overridden parameter assignment,
-/// building (and caching) it on first use — keyed by the params fingerprint,
-/// exactly like `scenario_analysis`. Construction runs inside the caller's
-/// `serve.eval` span, so cold-start cost is visible in the request's trace.
-fn paper_analysis(state: &ServerState, params: GsuParams) -> Result<Arc<GsuAnalysis>, String> {
-    let fingerprint = params_fingerprint(&params);
+/// Returns the cached analysis for a scenario or an overridden parameter
+/// assignment, building (and caching) it on first use. Construction runs
+/// inside the caller's `serve.eval` span, so cold-start cost is visible in
+/// the request's trace.
+fn cached_analysis(state: &ServerState, spec: ScenarioSpec) -> Result<Arc<GsuAnalysis>, PerfError> {
+    let key = model_fingerprint(&spec);
     {
         let cache = state
             .analysis_cache
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        if let Some(hit) = cache.get(&fingerprint) {
+        if let Some(hit) = cache.get(&key) {
             telemetry::counter("serve.analysis_cache.hits", 1);
             return Ok(hit.clone());
         }
     }
-    // Built outside the lock, same as `scenario_analysis`: a slow cold start
-    // must not block cached requests. A lost race just builds twice.
+    // Built outside the lock: a slow cold start must not block cached
+    // requests. A lost race just builds twice.
     telemetry::counter("serve.analysis_cache.misses", 1);
-    let built = Arc::new(
-        GsuAnalysis::new(params)
-            .map_err(|e| format!("overridden analysis failed to build: {e}"))?,
-    );
+    let built = Arc::new(GsuAnalysis::new(spec)?);
     let mut cache = state
         .analysis_cache
         .lock()
         .unwrap_or_else(|e| e.into_inner());
-    Ok(cache.entry(fingerprint).or_insert(built).clone())
+    Ok(cache.entry(key).or_insert(built).clone())
 }
 
-/// Returns the cached analysis for a scenario, building (and caching) it on
-/// first use. Construction runs inside the caller's `serve.eval` span, so
-/// cold-start cost is visible in the request's trace.
-fn scenario_analysis(
-    state: &ServerState,
-    spec: ScenarioSpec,
-) -> Result<Arc<ScenarioAnalysis>, String> {
-    let name = spec.name.clone();
-    {
-        let cache = state
-            .scenario_cache
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        if let Some(hit) = cache.get(&name) {
-            return Ok(hit.clone());
-        }
-    }
-    // Built outside the lock: a slow cold start must not block requests for
-    // other (already cached) scenarios. A lost race just builds twice.
-    let built = Arc::new(
-        ScenarioAnalysis::new(spec)
-            .map_err(|e| format!("scenario `{name}` failed to build: {e}"))?,
-    );
-    let mut cache = state
-        .scenario_cache
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
-    Ok(cache.entry(name).or_insert(built).clone())
+/// The analysis-cache key of a spec: every field the lowering reads
+/// (parameters, safeguard laws, escorts, waves, coverage decay, aging), in
+/// `Debug` form, which prints every `f64` exactly. The name, φ grid and
+/// simulation settings do not change the models and are left out, so
+/// specs that lower to the same models share one analysis.
+pub fn model_fingerprint(spec: &ScenarioSpec) -> String {
+    format!(
+        "{:?}",
+        (
+            &spec.params,
+            &spec.at,
+            &spec.ckpt,
+            spec.escorts,
+            &spec.waves,
+            spec.coverage_decay,
+            &spec.aging
+        )
+    )
 }
 
 /// Builds the canonical wide-event line for one `/eval` request — trace id,
@@ -1187,6 +1170,21 @@ mod tests {
             "{json}"
         );
         assert!(json.contains("\"git\":"), "{json}");
+    }
+
+    #[test]
+    fn model_fingerprint_keys_on_model_fields_only() {
+        let base = ScenarioSpec::from(GsuParams::paper_baseline());
+        let mut renamed = base.clone();
+        renamed.name = "other".to_string();
+        renamed.phi_grid = vec![0.0, 1.0];
+        renamed.sim_seed += 1;
+        assert_eq!(model_fingerprint(&base), model_fingerprint(&renamed));
+        let mut escorted = base.clone();
+        escorted.escorts = 2;
+        assert_ne!(model_fingerprint(&base), model_fingerprint(&escorted));
+        let tweaked = ScenarioSpec::from(GsuParams::paper_baseline().with_coverage(0.5).unwrap());
+        assert_ne!(model_fingerprint(&base), model_fingerprint(&tweaked));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! End-to-end test of `/eval` paper-parameter overrides: the overridden
-//! analysis is memoized per params fingerprint (the `scenario_cache`
-//! pattern), agrees with a direct evaluation, and validation failures name
-//! the offending query parameter.
+//! analysis is memoized in the daemon's one analysis cache, agrees with a
+//! direct evaluation, validation failures name the offending query
+//! parameter, and a solver breakdown is a server error, not a client one.
 
 use gsu_serve::http::http_get;
 use gsu_serve::Server;
@@ -75,6 +75,18 @@ fn param_override_eval_is_memoized_and_validated() {
             "{target}: {body}"
         );
     }
+
+    // A valid request whose solve breaks down numerically (the measure
+    // invariant ∫∫hf ≤ ∫h fails at this scale) is the solver's failure: a
+    // 500 charged to `solver`, with the same status in the wide event.
+    // Checked in this test because the cache counters above are global.
+    let (status, body) = http_get(addr, "/eval?theta=1e12&phi=1e11").expect("breakdown eval");
+    assert_eq!(status, 500, "{body}");
+    assert!(body.contains("\"param\":\"solver\""), "{body}");
+    assert!(body.contains("measure invariant violated"), "{body}");
+    let (status, log) = http_get(addr, "/requests?n=1").expect("wide events");
+    assert_eq!(status, 200);
+    assert!(log.contains("\"status\":500"), "{log}");
 
     handle.shutdown();
     serving.join().expect("server thread");
