@@ -13,6 +13,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use performability::{GsuAnalysis, PerfError, SweepPoint};
+use telemetry::json;
 
 pub mod loadgen;
 pub mod profile;
@@ -180,15 +181,30 @@ pub fn merge_bench_record(path: &Path, record: BenchRecord) -> std::io::Result<(
     write_bench_records(path, &records)
 }
 
-/// Reads a `BENCH_sweep.json`-format log. A missing file is an error;
-/// malformed *entries* within a readable file are dropped (see
-/// [`parse_bench_records`][self]).
+/// Reads a `BENCH_sweep.json`-format log. A missing file is an error; a
+/// log that is not JSON, and malformed entries within one, are dropped
+/// rather than erroring so a corrupt log heals on the next run.
 ///
 /// # Errors
 ///
 /// Returns the underlying read error (`NotFound` for an absent log).
 pub fn read_bench_records(path: &Path) -> std::io::Result<Vec<BenchRecord>> {
-    Ok(parse_bench_records(&std::fs::read_to_string(path)?))
+    let doc = json::parse(&std::fs::read_to_string(path)?).unwrap_or(json::Value::Null);
+    let records = doc.as_array().unwrap_or_default().iter().filter_map(|r| {
+        let count = |key| r.get(key).and_then(json::Value::as_u64);
+        Some(BenchRecord {
+            name: r.get("name")?.as_str()?.to_string(),
+            wall_ms: r.get("wall_ms")?.as_f64()?,
+            threads: usize::try_from(count("threads")?).ok()?,
+            grid: usize::try_from(count("grid")?).ok()?,
+            // Work metrics default to 0 so logs from before the counters
+            // existed keep parsing (the regress gate treats 0 as "seed,
+            // don't compare").
+            iterations: count("iterations").unwrap_or(0),
+            spmv_ops: count("spmv_ops").unwrap_or(0),
+        })
+    });
+    Ok(records.collect())
 }
 
 /// Writes `records` in the `BENCH_sweep.json` format, sorted by
@@ -206,62 +222,16 @@ pub fn write_bench_records(path: &Path, records: &[BenchRecord]) -> std::io::Res
     let mut body = String::from("[\n");
     for (i, r) in records.iter().enumerate() {
         let comma = if i + 1 < records.len() { "," } else { "" };
+        let name = json::escape(&r.name);
         let _ = writeln!(
             body,
-            "  {{\"name\": \"{}\", \"wall_ms\": {:.3}, \"threads\": {}, \"grid\": {}, \
+            "  {{\"name\": \"{name}\", \"wall_ms\": {:.3}, \"threads\": {}, \"grid\": {}, \
              \"iterations\": {}, \"spmv_ops\": {}}}{comma}",
-            r.name, r.wall_ms, r.threads, r.grid, r.iterations, r.spmv_ops
+            r.wall_ms, r.threads, r.grid, r.iterations, r.spmv_ops
         );
     }
     body.push_str("]\n");
     std::fs::write(path, body)
-}
-
-/// Parses the records this module writes (a minimal scanner, not a general
-/// JSON parser — malformed entries are dropped rather than erroring so a
-/// corrupt log heals on the next run).
-fn parse_bench_records(text: &str) -> Vec<BenchRecord> {
-    let mut out = Vec::new();
-    for chunk in text.split('{').skip(1) {
-        let body = chunk.split('}').next().unwrap_or("");
-        let name = json_field(body, "name").map(|v| v.trim_matches('"').to_string());
-        let wall_ms = json_field(body, "wall_ms").and_then(|v| v.parse().ok());
-        let threads = json_field(body, "threads").and_then(|v| v.parse().ok());
-        let grid = json_field(body, "grid").and_then(|v| v.parse().ok());
-        // Work metrics default to 0 so logs from before the counters existed
-        // keep parsing (the regress gate treats 0 as "seed, don't compare").
-        let iterations = json_field(body, "iterations")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        let spmv_ops = json_field(body, "spmv_ops")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        if let (Some(name), Some(wall_ms), Some(threads), Some(grid)) =
-            (name, wall_ms, threads, grid)
-        {
-            out.push(BenchRecord {
-                name,
-                wall_ms,
-                threads,
-                grid,
-                iterations,
-                spmv_ops,
-            });
-        }
-    }
-    out
-}
-
-fn json_field<'a>(body: &'a str, key: &str) -> Option<&'a str> {
-    let marker = format!("\"{key}\"");
-    let rest = &body[body.find(&marker)? + marker.len()..];
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    let end = if let Some(quoted) = rest.strip_prefix('"') {
-        return quoted.split('"').next().map(|v| v.trim());
-    } else {
-        rest.find([',', '\n']).unwrap_or(rest.len())
-    };
-    Some(rest[..end].trim())
 }
 
 /// Run-scoped telemetry session for the experiment binaries.
@@ -581,29 +551,26 @@ mod tests {
         merge_bench_record(&path, rec("fig10", 410.5, 1)).unwrap();
         // Same (name, threads) key updates in place.
         merge_bench_record(&path, rec("fig9", 245.125, 1)).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let records = parse_bench_records(&text);
-        assert_eq!(records.len(), 3);
-        assert_eq!(
-            records[1],
-            BenchRecord {
-                name: "fig9".into(),
-                wall_ms: 245.125,
-                threads: 1,
-                grid: 10,
-                iterations: 128,
-                spmv_ops: 640,
-            }
-        );
+        // Names are escaped on the way out and unescaped on the way back.
+        merge_bench_record(&path, rec("serve:a\"b:p50", 1.5, 2)).unwrap();
+        let records = read_bench_records(&path).unwrap();
+        assert_eq!(records.len(), 4);
+        assert_eq!(records[1], rec("fig9", 245.125, 1));
         assert_eq!(records[2].threads, 4);
+        assert_eq!(records[3], rec("serve:a\"b:p50", 1.5, 2));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn logs_without_work_metrics_parse_with_zeroes() {
+        let path = std::env::temp_dir().join("gsu-bench-old-records-test.json");
         let old = "[\n  {\"name\": \"fig9\", \"wall_ms\": 100.000, \
-                   \"threads\": 1, \"grid\": 10}\n]\n";
-        let records = parse_bench_records(old);
+                   \"threads\": 1, \"grid\": 10},\n  {\"name\": \"no-wall\"}\n]\n";
+        std::fs::write(&path, old).unwrap();
+        let records = read_bench_records(&path).unwrap();
+        std::fs::write(&path, &old[..40]).unwrap();
+        assert!(read_bench_records(&path).unwrap().is_empty());
+        std::fs::remove_file(&path).ok();
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].iterations, 0);
         assert_eq!(records[0].spmv_ops, 0);

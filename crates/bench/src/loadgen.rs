@@ -38,6 +38,7 @@ use gsu_scenario::ast::ScenarioSpec;
 use gsu_serve::http::{http_get, HttpClient};
 use gsu_serve::slo::{self, SloDoc};
 use mdcd_sim::SimRng;
+use telemetry::json::{self, escape, Value};
 
 use crate::{merge_bench_record, BenchRecord};
 
@@ -407,20 +408,18 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
         report.checks = run_checks(addr, doc, &samples, &report);
     }
 
+    // The committed artifact must round-trip: a report that does not parse
+    // back to itself is malformed, and with --check that is a failure.
     let json = report.to_json();
+    if parse_report(&json).map_err(|e| format!("malformed report: {e}"))? != report {
+        return Err("report does not round-trip through its JSON".to_string());
+    }
     if let Some(path) = &config.report_path {
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)
                 .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
         }
         std::fs::write(path, &json).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        // The committed artifact must round-trip: a report nobody can parse
-        // back is a malformed report, and with --check that is a failure.
-        let written = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot re-read {}: {e}", path.display()))?;
-        parse_report(&written).map_err(|e| format!("malformed report {}: {e}", path.display()))?;
-    } else {
-        parse_report(&json).map_err(|e| format!("malformed report: {e}"))?;
     }
 
     if let Some(path) = &config.bench_path {
@@ -650,6 +649,8 @@ fn run_checks(
 
     match http_get(addr, "/stats") {
         Ok((200, body)) => {
+            let stats = json::parse(&body).unwrap_or(Value::Null);
+            let routes = stats.get("routes").and_then(Value::as_array);
             for def in &doc.slos {
                 let Some(measured) = report.endpoints.iter().find(|e| e.endpoint == def.endpoint)
                 else {
@@ -666,8 +667,12 @@ fn run_checks(
                     });
                     continue;
                 }
-                let (passed, detail) = match stats_route(&body, &def.endpoint) {
-                    Some((p50, p99)) => {
+                let route = routes.unwrap_or_default().iter().find(|r| {
+                    r.get("route").and_then(Value::as_str) == Some(def.endpoint.as_str())
+                });
+                let quantile = |key| route?.get(key)?.as_f64();
+                let (passed, detail) = match (quantile("p50_us"), quantile("p99_us")) {
+                    (Some(p50), Some(p99)) => {
                         let d50 = (p50 / measured.p50_us).log10().abs();
                         let d99 = (p99 / measured.p99_us).log10().abs();
                         (
@@ -678,7 +683,7 @@ fn run_checks(
                             ),
                         )
                     }
-                    None => (false, "route missing from /stats".to_string()),
+                    _ => (false, "route missing from /stats".to_string()),
                 };
                 checks.push(Check {
                     name: format!("stats-agreement:{}", def.endpoint),
@@ -701,16 +706,6 @@ fn run_checks(
     checks
 }
 
-/// Pulls `(p50_us, p99_us)` for `route` out of a `gsu-stats-v1` body.
-fn stats_route(body: &str, route: &str) -> Option<(f64, f64)> {
-    let routes = body.split_once("\"routes\":[")?.1;
-    let routes = &routes[..routes.find(']').unwrap_or(routes.len())];
-    let marker = format!("\"route\":\"{route}\"");
-    let obj = routes.split('{').find(|chunk| chunk.contains(&marker))?;
-    let obj = &obj[..obj.find('}').unwrap_or(obj.len())];
-    Some((number_field(obj, "p50_us")?, number_field(obj, "p99_us")?))
-}
-
 impl LoadgenReport {
     /// Whether every requested check held (vacuously true without
     /// `--check`).
@@ -725,8 +720,8 @@ impl LoadgenReport {
              \"rate_rps\":{},\"duration_s\":{},\"connections\":{},\"seed\":{},\
              \"keep_alive\":{},\"requests\":{},\"errors\":{},\"connects\":{},\
              \"elapsed_s\":{},\"throughput_rps\":{},\n \"overall\":",
-            self.mode,
-            self.label,
+            escape(&self.mode),
+            escape(&self.label),
             self.rate_rps,
             self.duration_s,
             self.connections,
@@ -752,10 +747,11 @@ impl LoadgenReport {
             if i > 0 {
                 out.push(',');
             }
+            let (name, detail) = (escape(&c.name), escape(&c.detail));
             let _ = write!(
                 out,
-                "\n  {{\"name\":\"{}\",\"passed\":{},\"detail\":\"{}\"}}",
-                c.name, c.passed, c.detail
+                "\n  {{\"name\":\"{name}\",\"passed\":{},\"detail\":\"{detail}\"}}",
+                c.passed
             );
         }
         out.push_str("]}\n");
@@ -796,122 +792,69 @@ impl LoadgenReport {
 
 /// Appends one [`EndpointStats`] object to `out`.
 fn push_stats(out: &mut String, e: &EndpointStats) {
+    let endpoint = escape(&e.endpoint);
     let _ = write!(
         out,
-        "{{\"endpoint\":\"{}\",\"count\":{},\"errors\":{},\"mean_us\":{},\
+        "{{\"endpoint\":\"{endpoint}\",\"count\":{},\"errors\":{},\"mean_us\":{},\
          \"p50_us\":{},\"p90_us\":{},\"p99_us\":{},\"p999_us\":{},\"max_us\":{}}}",
-        e.endpoint, e.count, e.errors, e.mean_us, e.p50_us, e.p90_us, e.p99_us, e.p999_us, e.max_us
+        e.count, e.errors, e.mean_us, e.p50_us, e.p90_us, e.p99_us, e.p999_us, e.max_us
     );
 }
 
-/// Parses a `gsu-loadgen-v1` report back into a [`LoadgenReport`]
-/// (checks are parsed for their verdicts; details round-trip as written).
+/// Parses a `gsu-loadgen-v1` report back into a [`LoadgenReport`].
 ///
 /// # Errors
 ///
 /// A description of the first missing or malformed field.
 pub fn parse_report(text: &str) -> Result<LoadgenReport, String> {
-    if !text.contains(&format!("\"schema\":\"{REPORT_SCHEMA}\"")) {
+    let doc = json::parse(text)?;
+    if doc.get("schema").and_then(Value::as_str) != Some(REPORT_SCHEMA) {
         return Err(format!("missing schema tag {REPORT_SCHEMA:?}"));
     }
-    let num =
-        |key: &str| number_field(text, key).ok_or_else(|| format!("missing numeric field {key:?}"));
-    let overall_body = text
-        .split_once("\"overall\":{")
-        .map(|(_, rest)| &rest[..rest.find('}').unwrap_or(rest.len())])
-        .ok_or("missing \"overall\" object")?;
-    let endpoints_body = text
-        .split_once("\"endpoints\":[")
-        .map(|(_, rest)| &rest[..rest.find(']').unwrap_or(rest.len())])
-        .ok_or("missing \"endpoints\" array")?;
-    let endpoints = endpoints_body
-        .split('{')
-        .skip(1)
-        .map(|chunk| parse_stats(&chunk[..chunk.find('}').unwrap_or(chunk.len())]))
-        .collect::<Result<Vec<_>, _>>()?;
-    let checks_body = text
-        .split_once("\"checks\":[")
-        .map(|(_, rest)| &rest[..rest.find(']').unwrap_or(rest.len())])
-        .ok_or("missing \"checks\" array")?;
-    let checks = checks_body
-        .split('{')
-        .skip(1)
-        .map(|chunk| {
-            let obj = &chunk[..chunk.find('}').unwrap_or(chunk.len())];
-            let name = string_field(obj, "name").ok_or("check missing \"name\"")?;
-            let passed = match string_free_field(obj, "passed") {
-                Some("true") => true,
-                Some("false") => false,
-                _ => return Err("check missing boolean \"passed\"".to_string()),
-            };
-            let detail = string_field(obj, "detail").unwrap_or_default();
-            Ok(Check {
-                name,
-                passed,
-                detail,
-            })
+    let stats = |obj: &Value| -> Result<EndpointStats, String> {
+        Ok(EndpointStats {
+            endpoint: obj.field("endpoint", Value::as_str)?.to_string(),
+            count: obj.field("count", Value::as_u64)?,
+            errors: obj.field("errors", Value::as_u64)?,
+            mean_us: obj.field("mean_us", Value::as_f64)?,
+            p50_us: obj.field("p50_us", Value::as_f64)?,
+            p90_us: obj.field("p90_us", Value::as_f64)?,
+            p99_us: obj.field("p99_us", Value::as_f64)?,
+            p999_us: obj.field("p999_us", Value::as_f64)?,
+            max_us: obj.field("max_us", Value::as_f64)?,
         })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(LoadgenReport {
-        mode: string_field(text, "mode").ok_or("missing string field \"mode\"")?,
-        label: string_field(text, "label").ok_or("missing string field \"label\"")?,
-        rate_rps: num("rate_rps")?,
-        duration_s: num("duration_s")?,
-        connections: num("connections")? as usize,
-        seed: num("seed")? as u64,
-        keep_alive: match string_free_field(text, "keep_alive") {
-            Some("true") => true,
-            Some("false") => false,
-            _ => return Err("missing boolean field \"keep_alive\"".to_string()),
-        },
-        requests: num("requests")? as u64,
-        errors: num("errors")? as u64,
-        connects: num("connects")? as u64,
-        elapsed_s: num("elapsed_s")?,
-        throughput_rps: num("throughput_rps")?,
-        overall: parse_stats(overall_body)?,
-        endpoints,
-        checks,
-    })
-}
-
-/// Parses one serialized [`EndpointStats`] object body.
-fn parse_stats(obj: &str) -> Result<EndpointStats, String> {
-    let num = |key: &str| {
-        number_field(obj, key).ok_or_else(|| format!("stats entry missing numeric field {key:?}"))
     };
-    Ok(EndpointStats {
-        endpoint: string_field(obj, "endpoint").ok_or("stats entry missing \"endpoint\"")?,
-        count: num("count")? as u64,
-        errors: num("errors")? as u64,
-        mean_us: num("mean_us")?,
-        p50_us: num("p50_us")?,
-        p90_us: num("p90_us")?,
-        p99_us: num("p99_us")?,
-        p999_us: num("p999_us")?,
-        max_us: num("max_us")?,
+    Ok(LoadgenReport {
+        mode: doc.field("mode", Value::as_str)?.to_string(),
+        label: doc.field("label", Value::as_str)?.to_string(),
+        rate_rps: doc.field("rate_rps", Value::as_f64)?,
+        duration_s: doc.field("duration_s", Value::as_f64)?,
+        connections: doc.field("connections", Value::as_u64)? as usize,
+        seed: doc.field("seed", Value::as_u64)?,
+        keep_alive: doc.field("keep_alive", Value::as_bool)?,
+        requests: doc.field("requests", Value::as_u64)?,
+        errors: doc.field("errors", Value::as_u64)?,
+        connects: doc.field("connects", Value::as_u64)?,
+        elapsed_s: doc.field("elapsed_s", Value::as_f64)?,
+        throughput_rps: doc.field("throughput_rps", Value::as_f64)?,
+        overall: stats(doc.field("overall", Some)?)?,
+        endpoints: doc
+            .field("endpoints", Value::as_array)?
+            .iter()
+            .map(stats)
+            .collect::<Result<_, _>>()?,
+        checks: doc
+            .field("checks", Value::as_array)?
+            .iter()
+            .map(|c| {
+                Ok(Check {
+                    name: c.field("name", Value::as_str)?.to_string(),
+                    passed: c.field("passed", Value::as_bool)?,
+                    detail: c.field("detail", Value::as_str)?.to_string(),
+                })
+            })
+            .collect::<Result<_, String>>()?,
     })
-}
-
-/// Value of `"key":<number>` in `obj`, if present and parsable.
-fn number_field(obj: &str, key: &str) -> Option<f64> {
-    string_free_field(obj, key)?.parse().ok()
-}
-
-/// Raw unquoted token after `"key":` (number, `true`, `false`).
-fn string_free_field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let rest = &obj[obj.find(&needle)? + needle.len()..];
-    let end = rest.find([',', '}', ']']).unwrap_or(rest.len());
-    Some(rest[..end].trim())
-}
-
-/// Value of `"key":"<string>"` in `obj` (no escape handling: endpoint
-/// paths, labels, and check names are plain).
-fn string_field(obj: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":\"");
-    let rest = &obj[obj.find(&needle)? + needle.len()..];
-    rest.split('"').next().map(str::to_string)
 }
 
 #[cfg(test)]
@@ -1016,10 +959,15 @@ mod tests {
 
     #[test]
     fn report_round_trips_through_json() {
-        let report = sample_report();
+        let mut report = sample_report();
         let parsed = parse_report(&report.to_json()).unwrap();
         assert_eq!(parsed, report);
         assert!(parsed.passed());
+        // Quotes, backslashes and braces in strings, and seeds past 2^53.
+        report.label = "a\"b\\c".to_string();
+        report.checks[0].detail = "p99 {x} too high".to_string();
+        report.seed = (1 << 53) + 1;
+        assert_eq!(parse_report(&report.to_json()).unwrap(), report);
     }
 
     #[test]
@@ -1038,19 +986,6 @@ mod tests {
             parse_report(&good.replace("\"overall\":", "\"overall_gone\":")).is_err(),
             "missing overall"
         );
-    }
-
-    #[test]
-    fn stats_route_reads_the_serve_stats_shape() {
-        let body = r#"{"schema":"gsu-stats-v1","uptime_s":1,"window_s":60,
-          "connections":{"accepted":3,"queue_depth":0,"inflight":1},
-          "routes":[
-            {"route":"/eval","count":10,"mean_us":1500,"p50_us":1200,"p90_us":2000,"p99_us":3000,"p999_us":3500,"max_us":4000},
-            {"route":"/metrics","count":4,"mean_us":300,"p50_us":250,"p90_us":400,"p99_us":500,"p999_us":550,"max_us":600}],
-          "slos":[{"endpoint":"/eval","threshold_ms":250,"target":0.9,"count":10,"attainment":1,"burn_rate":0,"met":true}]}"#;
-        assert_eq!(stats_route(body, "/eval"), Some((1200.0, 3000.0)));
-        assert_eq!(stats_route(body, "/metrics"), Some((250.0, 500.0)));
-        assert_eq!(stats_route(body, "/nope"), None);
     }
 
     #[test]

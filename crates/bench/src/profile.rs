@@ -17,6 +17,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use telemetry::json;
+
 /// One complete (`ph == "X"`) span event parsed from a trace document.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanEvent {
@@ -33,43 +35,27 @@ pub struct SpanEvent {
 }
 
 /// Parses the events of a Chrome `trace_event` document produced by this
-/// workspace's collector. A minimal scanner, not a general JSON parser:
-/// events missing the `span_id`/`parent_id` args (foreign documents) are
-/// skipped rather than erroring.
+/// workspace's collector. Events missing the `dur`/`trace_id`/`span_id`/
+/// `parent_id` fields (foreign documents) are skipped rather than erroring;
+/// a document that is not JSON or has no `traceEvents` array yields none.
 pub fn parse_chrome_trace(doc: &str) -> Vec<SpanEvent> {
-    let mut out = Vec::new();
-    for chunk in doc.split("{\"name\":\"").skip(1) {
-        let Some(name) = chunk.split('"').next() else {
-            continue;
-        };
-        let dur_us = field_u64(chunk, "\"dur\":");
-        let span_id = field_u64(chunk, "\"span_id\":");
-        let parent_id = field_u64(chunk, "\"parent_id\":");
-        let trace_id = chunk
-            .split("\"trace_id\":\"")
-            .nth(1)
-            .and_then(|rest| rest.split('"').next());
-        if let (Some(dur_us), Some(span_id), Some(parent_id), Some(trace_id)) =
-            (dur_us, span_id, parent_id, trace_id)
-        {
-            out.push(SpanEvent {
-                name: name.to_string(),
-                dur_us,
-                span_id,
-                parent_id,
-                trace_id: trace_id.to_string(),
-            });
-        }
-    }
-    out
-}
-
-fn field_u64(chunk: &str, marker: &str) -> Option<u64> {
-    let rest = &chunk[chunk.find(marker)? + marker.len()..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    let doc = json::parse(doc).unwrap_or(json::Value::Null);
+    let events = doc.get("traceEvents").and_then(json::Value::as_array);
+    events
+        .unwrap_or_default()
+        .iter()
+        .filter_map(|event| {
+            let args = event.get("args")?;
+            let id = |key| args.get(key).and_then(json::Value::as_u64);
+            Some(SpanEvent {
+                name: event.get("name")?.as_str()?.to_string(),
+                dur_us: event.get("dur")?.as_u64()?,
+                span_id: id("span_id")?,
+                parent_id: id("parent_id")?,
+                trace_id: args.get("trace_id")?.as_str()?.to_string(),
+            })
+        })
+        .collect()
 }
 
 /// A span-tree profile: per-path self times plus per-name aggregates.
@@ -233,5 +219,9 @@ mod tests {
         // Events without span ids (a trace from some other tool) are skipped.
         let doc = r#"{"traceEvents":[{"name":"x","ph":"X","ts":0,"dur":3,"args":{}}]}"#;
         assert!(parse_chrome_trace(doc).is_empty());
+        // So are documents that are not JSON or nest past the reader's cap.
+        assert!(parse_chrome_trace(&doc[..40]).is_empty());
+        let deep = format!("{{\"traceEvents\":{}{}}}", "[".repeat(100), "]".repeat(100));
+        assert!(parse_chrome_trace(&deep).is_empty());
     }
 }

@@ -12,6 +12,8 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
+use telemetry::json::{self, escape};
+
 /// Version tag carried by every JSONL record.
 pub const SCHEMA: &str = "gsu-lint-v2";
 
@@ -356,11 +358,11 @@ impl Finding {
             "{{\"schema\":\"{SCHEMA}\",\"rule\":\"{}\",\"severity\":\"{}\",\
              \"location\":\"{}\",\"message\":\"{}\",\"suggestion\":\"{}\",\
              \"fingerprint\":\"{:016x}\"}}",
-            json_escape(&self.rule),
+            escape(&self.rule),
             self.severity,
-            json_escape(&self.location),
-            json_escape(&self.message),
-            json_escape(&self.suggestion),
+            escape(&self.location),
+            escape(&self.message),
+            escape(&self.suggestion),
             self.fingerprint()
         )
     }
@@ -377,118 +379,13 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = std::fmt::Write::write_fmt(&mut out, format_args!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_unescape(s: &str) -> Result<String, String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('"') => out.push('"'),
-            Some('\\') => out.push('\\'),
-            Some('/') => out.push('/'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                let code =
-                    u32::from_str_radix(&hex, 16).map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                out.push(char::from_u32(code).ok_or_else(|| format!("bad codepoint {code:#x}"))?);
-            }
-            other => return Err(format!("bad escape \\{other:?}")),
-        }
-    }
-    Ok(out)
-}
-
-/// Parses one flat string-valued JSON object `{"k":"v",...}` — the only
-/// shape `gsu-lint-v1` emits.
-fn parse_flat_object(line: &str) -> Result<Vec<(String, String)>, String> {
-    let body = line
-        .trim()
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| "record is not a JSON object".to_string())?;
-    let mut pairs = Vec::new();
-    let mut rest = body.trim_start();
-    while !rest.is_empty() {
-        let mut fields = Vec::new();
-        for _ in 0..2 {
-            rest = rest.trim_start();
-            let inner = rest
-                .strip_prefix('"')
-                .ok_or_else(|| format!("expected a string at {rest:?}"))?;
-            // Find the closing quote, skipping escaped characters.
-            let mut end = None;
-            let mut skip = false;
-            for (i, c) in inner.char_indices() {
-                if skip {
-                    skip = false;
-                } else if c == '\\' {
-                    skip = true;
-                } else if c == '"' {
-                    end = Some(i);
-                    break;
-                }
-            }
-            let end = end.ok_or_else(|| "unterminated string".to_string())?;
-            fields.push(json_unescape(&inner[..end])?);
-            rest = inner[end + 1..].trim_start();
-            if fields.len() == 1 {
-                rest = rest
-                    .strip_prefix(':')
-                    .ok_or_else(|| "expected ':' after key".to_string())?;
-            }
-        }
-        let mut fields = fields.into_iter();
-        match (fields.next(), fields.next()) {
-            (Some(k), Some(v)) => pairs.push((k, v)),
-            _ => return Err("malformed key/value pair".to_string()),
-        }
-        rest = rest.trim_start();
-        rest = match rest.strip_prefix(',') {
-            Some(tail) => tail.trim_start(),
-            None if rest.is_empty() => rest,
-            None => return Err(format!("expected ',' or end of object at {rest:?}")),
-        };
-    }
-    Ok(pairs)
-}
-
 /// Parses and validates one `gsu-lint-v1` JSONL record: the schema tag must
 /// match, the rule id must be in the catalog, the severity must parse, and
 /// the embedded fingerprint must equal the recomputed one. This makes the
 /// round-trip check in CI an end-to-end integrity test, not a syntax check.
 pub fn parse_jsonl_line(line: &str) -> Result<Finding, String> {
-    let pairs = parse_flat_object(line)?;
-    let get = |key: &str| -> Result<&str, String> {
-        pairs
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-            .ok_or_else(|| format!("missing field {key:?}"))
-    };
+    let record = json::parse(line)?;
+    let get = |key| record.field(key, json::Value::as_str);
     let schema = get("schema")?;
     if schema != SCHEMA && schema != SCHEMA_V1 {
         return Err(format!(

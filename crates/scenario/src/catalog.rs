@@ -9,6 +9,8 @@
 
 use std::path::Path;
 
+use telemetry::json::{self, Value};
+
 use crate::ast::ScenarioSpec;
 use crate::ScenarioError;
 
@@ -25,7 +27,8 @@ impl GoldenCurve {
     /// Serializes the curve to its canonical JSON form.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"schema\": \"gsu-golden-v1\",\n");
-        out.push_str(&format!("  \"scenario\": \"{}\",\n", self.scenario));
+        let scenario = json::escape(&self.scenario);
+        out.push_str(&format!("  \"scenario\": \"{scenario}\",\n"));
         out.push_str("  \"points\": [\n");
         for (i, (phi, y)) in self.points.iter().enumerate() {
             let sep = if i + 1 == self.points.len() { "" } else { "," };
@@ -42,152 +45,40 @@ impl GoldenCurve {
     /// Returns a description of the first malformation. The parser is
     /// strict about the schema but tolerant of whitespace.
     pub fn from_json(text: &str) -> Result<GoldenCurve, String> {
-        let mut p = JsonCursor::new(text);
-        p.eat('{')?;
-        let mut schema = None;
-        let mut scenario = None;
-        let mut points = None;
-        loop {
-            let key = p.string()?;
-            p.eat(':')?;
-            match key.as_str() {
-                "schema" => schema = Some(p.string()?),
-                "scenario" => scenario = Some(p.string()?),
-                "points" => {
-                    let mut pts = Vec::new();
-                    p.eat('[')?;
-                    if !p.peek_is(']') {
-                        loop {
-                            p.eat('{')?;
-                            let mut phi = None;
-                            let mut y = None;
-                            loop {
-                                let k = p.string()?;
-                                p.eat(':')?;
-                                let v = p.number()?;
-                                match k.as_str() {
-                                    "phi" => phi = Some(v),
-                                    "y" => y = Some(v),
-                                    other => return Err(format!("unknown point key `{other}`")),
-                                }
-                                if !p.comma_or(&'}')? {
-                                    break;
-                                }
-                            }
-                            match (phi, y) {
-                                (Some(phi), Some(y)) => pts.push((phi, y)),
-                                _ => return Err("point missing phi or y".to_string()),
-                            }
-                            if !p.comma_or(&']')? {
-                                break;
-                            }
-                        }
-                    } else {
-                        p.eat(']')?;
-                    }
-                    points = Some(pts);
+        let doc = json::parse(text)?;
+        let Value::Object(members) = &doc else {
+            return Err("golden is not a JSON object".to_string());
+        };
+        if let Some((other, _)) = members
+            .iter()
+            .find(|(k, _)| !matches!(k.as_str(), "schema" | "scenario" | "points"))
+        {
+            return Err(format!("unknown key `{other}`"));
+        }
+        let schema = doc.field("schema", Value::as_str)?;
+        if schema != "gsu-golden-v1" {
+            return Err(format!("unsupported schema `{schema}`"));
+        }
+        let points = doc
+            .field("points", Value::as_array)?
+            .iter()
+            .map(|point| {
+                let Value::Object(keys) = point else {
+                    return Err("point is not an object".to_string());
+                };
+                if let Some((other, _)) = keys.iter().find(|(k, _)| k != "phi" && k != "y") {
+                    return Err(format!("unknown point key `{other}`"));
                 }
-                other => return Err(format!("unknown key `{other}`")),
-            }
-            if !p.comma_or(&'}')? {
-                break;
-            }
-        }
-        p.end()?;
-        match schema.as_deref() {
-            Some("gsu-golden-v1") => {}
-            Some(other) => return Err(format!("unsupported schema `{other}`")),
-            None => return Err("missing schema".to_string()),
-        }
+                Ok((
+                    point.field("phi", Value::as_f64)?,
+                    point.field("y", Value::as_f64)?,
+                ))
+            })
+            .collect::<Result<_, String>>()?;
         Ok(GoldenCurve {
-            scenario: scenario.ok_or("missing scenario")?,
-            points: points.ok_or("missing points")?,
+            scenario: doc.field("scenario", Value::as_str)?.to_string(),
+            points,
         })
-    }
-}
-
-/// A minimal strict cursor over the golden JSON subset.
-struct JsonCursor<'a> {
-    rest: &'a str,
-}
-
-impl<'a> JsonCursor<'a> {
-    fn new(text: &'a str) -> Self {
-        JsonCursor { rest: text }
-    }
-
-    fn skip_ws(&mut self) {
-        self.rest = self.rest.trim_start();
-    }
-
-    fn eat(&mut self, ch: char) -> Result<(), String> {
-        self.skip_ws();
-        match self.rest.strip_prefix(ch) {
-            Some(rest) => {
-                self.rest = rest;
-                Ok(())
-            }
-            None => Err(format!(
-                "expected `{ch}` at `{}`",
-                &self.rest[..self.rest.len().min(20)]
-            )),
-        }
-    }
-
-    fn peek_is(&mut self, ch: char) -> bool {
-        self.skip_ws();
-        self.rest.starts_with(ch)
-    }
-
-    /// Consumes either a comma (continuing a sequence) or the closing
-    /// delimiter; returns `true` when the sequence continues.
-    fn comma_or(&mut self, close: &char) -> Result<bool, String> {
-        self.skip_ws();
-        if let Some(rest) = self.rest.strip_prefix(',') {
-            self.rest = rest;
-            Ok(true)
-        } else if let Some(rest) = self.rest.strip_prefix(*close) {
-            self.rest = rest;
-            Ok(false)
-        } else {
-            Err(format!(
-                "expected `,` or `{close}` at `{}`",
-                &self.rest[..self.rest.len().min(20)]
-            ))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat('"')?;
-        match self.rest.find('"') {
-            Some(end) => {
-                let s = self.rest[..end].to_string();
-                self.rest = &self.rest[end + 1..];
-                Ok(s)
-            }
-            None => Err("unterminated string".to_string()),
-        }
-    }
-
-    fn number(&mut self) -> Result<f64, String> {
-        self.skip_ws();
-        let end = self
-            .rest
-            .find(|c: char| !matches!(c, '0'..='9' | '.' | '-' | '+' | 'e' | 'E'))
-            .unwrap_or(self.rest.len());
-        let (tok, rest) = self.rest.split_at(end);
-        self.rest = rest;
-        tok.parse::<f64>()
-            .map_err(|_| format!("bad number `{tok}`"))
-    }
-
-    fn end(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        if self.rest.is_empty() {
-            Ok(())
-        } else {
-            Err(format!("trailing content `{}`", self.rest))
-        }
     }
 }
 

@@ -47,9 +47,10 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use performability::{GsuAnalysis, GsuParams, PerfError, ScenarioSpec, SweepPoint};
+use telemetry::json::{escape, fmt_f64};
 use telemetry::{ArgValue, Collector, FinishedSpan, Level, TraceContext, WindowHistogram};
 
-use http::{fmt_f64, json_escape, Request, Response};
+use http::{Request, Response};
 
 /// Default number of connection-handling pool workers.
 pub const DEFAULT_WORKERS: usize = 4;
@@ -465,7 +466,7 @@ fn route(state: &ServerState, request: &Request, queue_us: u64) -> Response {
                     400,
                     format!(
                         "{{\"error\":\"unparsable trace id: {}\",\"param\":\"id\"}}",
-                        json_escape(raw)
+                        escape(raw)
                     ),
                 ),
             },
@@ -484,7 +485,7 @@ fn route(state: &ServerState, request: &Request, queue_us: u64) -> Response {
                             400,
                             format!(
                                 "{{\"error\":\"unparsable n: {}\",\"param\":\"n\"}}",
-                                json_escape(raw)
+                                escape(raw)
                             ),
                         )
                     }
@@ -545,10 +546,7 @@ fn eval(state: &ServerState, request: &Request, queue_us: u64) -> Response {
         );
         Response::json(
             status,
-            format!(
-                "{{\"error\":\"{}\",\"param\":\"{param}\"}}",
-                json_escape(msg)
-            ),
+            format!("{{\"error\":\"{}\",\"param\":\"{param}\"}}", escape(msg)),
         )
     };
     // Resolve the scenario reference first (a cheap catalog lookup) so an
@@ -626,7 +624,7 @@ fn eval(state: &ServerState, request: &Request, queue_us: u64) -> Response {
                 telemetry::format_trace_id(trace_id)
             );
             if let Some(name) = scenario_name.as_deref() {
-                let _ = write!(body, ",\"scenario\":\"{}\"", json_escape(name));
+                let _ = write!(body, ",\"scenario\":\"{}\"", escape(name));
             }
             body.push(',');
             body.push_str(&sweep_point_json(&point)[1..]);
@@ -777,13 +775,13 @@ fn record_wide_event(
         wall.as_micros()
     );
     if let Some(scenario) = scenario {
-        let _ = write!(line, ",\"scenario\":\"{}\"", json_escape(scenario));
+        let _ = write!(line, ",\"scenario\":\"{}\"", escape(scenario));
     }
     if let Some(y) = y {
         let _ = write!(line, ",\"y\":{}", fmt_f64(y));
     }
     if let Some(error) = error {
-        let _ = write!(line, ",\"error\":\"{}\"", json_escape(error));
+        let _ = write!(line, ",\"error\":\"{}\"", escape(error));
     }
     let mut phases: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
     for s in &spans {
@@ -799,7 +797,7 @@ fn record_wide_event(
         let _ = write!(
             line,
             "\"{}\":{{\"count\":{count},\"total_us\":{total_us}}}",
-            json_escape(name)
+            escape(name)
         );
     }
     line.push_str("},\"solves\":[");
@@ -831,17 +829,17 @@ fn solve_json(span: &FinishedSpan) -> Option<String> {
     if !span.args.iter().any(|(k, _)| k == "solve.method") {
         return None;
     }
-    let mut out = format!("{{\"span\":\"{}\"", json_escape(&span.name));
+    let mut out = format!("{{\"span\":\"{}\"", escape(&span.name));
     for (key, value) in &span.args {
         let Some(field) = key.strip_prefix("solve.") else {
             continue;
         };
-        let _ = write!(out, ",\"{}\":", json_escape(field));
+        let _ = write!(out, ",\"{}\":", escape(field));
         match value {
             ArgValue::F64(v) => out.push_str(&fmt_f64(*v)),
             ArgValue::U64(v) => out.push_str(&v.to_string()),
             ArgValue::Str(v) => {
-                let _ = write!(out, "\"{}\"", json_escape(v));
+                let _ = write!(out, "\"{}\"", escape(v));
             }
         }
     }
@@ -1050,7 +1048,7 @@ fn stats_json(state: &ServerState) -> String {
                 out,
                 "{{\"endpoint\":\"{}\",\"threshold_ms\":{},\"target\":{},\"count\":{},\
                  \"attainment\":{},\"burn_rate\":{},\"met\":{met}}}",
-                json_escape(&def.endpoint),
+                escape(&def.endpoint),
                 fmt_f64(def.threshold_ms),
                 fmt_f64(def.target),
                 snap.count,

@@ -202,12 +202,10 @@ fn smoke(collector: Arc<Collector>, workers: usize) -> ExitCode {
     // to a wide-event line on /requests.
     match http_get(addr, "/eval?phi=5000") {
         Ok((200, body)) => {
-            let trace_id = body
-                .split("\"trace_id\":\"")
-                .nth(1)
-                .and_then(|rest| rest.split('"').next())
-                .unwrap_or("")
-                .to_string();
+            let trace_id = telemetry::json::parse(&body)
+                .ok()
+                .and_then(|doc| doc.get("trace_id")?.as_str().map(str::to_string))
+                .unwrap_or_default();
             if trace_id.is_empty() {
                 eprintln!("smoke: /eval?phi=5000 response has no trace id: {body}");
                 failures.set(failures.get() + 1);

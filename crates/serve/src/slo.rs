@@ -12,12 +12,14 @@
 //! `/stats` can render attainment and burn rate), and `gsu-bench loadgen
 //! --check` loads it to gate a measured run in CI.
 //!
-//! The parser is the same hand-rolled scanning used for the other committed
-//! JSON artifacts (no serde under the workspace dependency policy); it is
-//! strict about the schema tag and the numeric fields so a malformed file
-//! fails the gate instead of silently passing.
+//! The document is read through [`telemetry::json`], like every other
+//! committed JSON artifact; validation is strict about the schema tag and
+//! the numeric fields so a malformed file fails the gate instead of
+//! silently passing.
 
 use std::path::Path;
+
+use telemetry::json::{self, Value};
 
 /// Default location of the committed SLO definitions, relative to the
 /// workspace root the daemon runs from.
@@ -61,14 +63,15 @@ impl SloDoc {
 ///
 /// # Errors
 ///
-/// A description of the first structural problem found (wrong schema tag,
-/// missing or non-numeric field, no endpoints).
+/// A description of the first structural problem found (not JSON, wrong
+/// schema tag, missing or non-numeric field, no endpoints).
 pub fn parse_slo(text: &str) -> Result<SloDoc, String> {
-    if !text.contains(&format!("\"schema\":\"{SLO_SCHEMA}\"")) {
+    let doc = json::parse(text)?;
+    if doc.get("schema").and_then(Value::as_str) != Some(SLO_SCHEMA) {
         return Err(format!("missing schema tag {SLO_SCHEMA:?}"));
     }
-    let window_s = number_field(text, "window_s").ok_or("missing numeric field \"window_s\"")?;
-    let rate_rps = number_field(text, "rate_rps").ok_or("missing numeric field \"rate_rps\"")?;
+    let window_s = doc.field("window_s", Value::as_f64)?;
+    let rate_rps = doc.field("rate_rps", Value::as_f64)?;
     if !(window_s >= 1.0 && window_s.fract() == 0.0) {
         return Err(format!(
             "window_s must be a positive integer, got {window_s}"
@@ -78,20 +81,11 @@ pub fn parse_slo(text: &str) -> Result<SloDoc, String> {
         return Err(format!("rate_rps must be positive, got {rate_rps}"));
     }
 
-    // Each per-endpoint object is delimited by braces inside the "slos"
-    // array; the document has no nested objects below that level.
-    let slos_body = text
-        .split_once("\"slos\":[")
-        .map(|(_, rest)| rest)
-        .ok_or("missing \"slos\" array")?;
     let mut slos = Vec::new();
-    for obj in objects(slos_body) {
-        let endpoint =
-            string_field(obj, "endpoint").ok_or("slo entry missing string field \"endpoint\"")?;
-        let threshold_ms = number_field(obj, "threshold_ms")
-            .ok_or("slo entry missing numeric field \"threshold_ms\"")?;
-        let target =
-            number_field(obj, "target").ok_or("slo entry missing numeric field \"target\"")?;
+    for obj in doc.field("slos", Value::as_array)? {
+        let endpoint = obj.field("endpoint", Value::as_str)?.to_string();
+        let threshold_ms = obj.field("threshold_ms", Value::as_f64)?;
+        let target = obj.field("target", Value::as_f64)?;
         if !(threshold_ms > 0.0 && threshold_ms.is_finite()) {
             return Err(format!("threshold_ms must be positive, got {threshold_ms}"));
         }
@@ -125,32 +119,6 @@ pub fn load_slo(path: &Path) -> Result<SloDoc, String> {
     parse_slo(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// Splits the top-level `{…}` objects out of an array body.
-fn objects(body: &str) -> impl Iterator<Item = &str> {
-    let end = body.find(']').unwrap_or(body.len());
-    let body = &body[..end];
-    body.split('{').skip(1).filter_map(|chunk| {
-        let close = chunk.find('}')?;
-        Some(&chunk[..close])
-    })
-}
-
-/// Value of `"key":<number>` in `obj`, if present and parsable.
-fn number_field(obj: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let rest = &obj[obj.find(&needle)? + needle.len()..];
-    let end = rest.find([',', '}', ']']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-/// Value of `"key":"<string>"` in `obj`, if present (no escape handling:
-/// endpoint paths are plain).
-fn string_field(obj: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":\"");
-    let rest = &obj[obj.find(&needle)? + needle.len()..];
-    rest.split('"').next().map(str::to_string)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,14 +131,18 @@ mod tests {
 
     #[test]
     fn parses_the_committed_shape() {
-        let doc = parse_slo(GOOD).unwrap();
-        assert_eq!(doc.window_s, 60);
-        assert_eq!(doc.rate_rps, 40.0);
-        assert_eq!(doc.slos.len(), 2);
-        let eval = doc.for_endpoint("/eval").unwrap();
-        assert_eq!(eval.threshold_ms, 250.0);
-        assert_eq!(eval.target, 0.9);
-        assert!(doc.for_endpoint("/nope").is_none());
+        // The same document spaced out the way a pretty-printer writes it.
+        let pretty = GOOD.replace("\":", "\": ").replace(",\"", ", \"");
+        for text in [GOOD, &pretty] {
+            let doc = parse_slo(text).unwrap();
+            assert_eq!(doc.window_s, 60);
+            assert_eq!(doc.rate_rps, 40.0);
+            assert_eq!(doc.slos.len(), 2);
+            let eval = doc.for_endpoint("/eval").unwrap();
+            assert_eq!(eval.threshold_ms, 250.0);
+            assert_eq!(eval.target, 0.9);
+            assert!(doc.for_endpoint("/nope").is_none());
+        }
     }
 
     #[test]

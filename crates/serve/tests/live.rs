@@ -11,6 +11,7 @@ use std::time::{Duration, Instant};
 use gsu_serve::http::http_get;
 use gsu_serve::{validate_exposition, Server};
 use performability::{GsuAnalysis, GsuParams};
+use telemetry::json::{self, Value};
 use telemetry::Collector;
 
 #[test]
@@ -92,7 +93,8 @@ fn serves_live_metrics_during_a_sweep() {
     // request's trace id.
     let (status, body) = http_get(addr, "/eval?phi=7000").expect("/eval");
     assert_eq!(status, 200, "eval body: {body}");
-    let served_y = json_number(&body, "y").expect("y field");
+    let eval = json::parse(&body).expect("/eval answers JSON");
+    let served_y = eval.field("y", Value::as_f64).unwrap();
     let direct = GsuAnalysis::new(GsuParams::paper_baseline())
         .unwrap()
         .evaluate(7000.0)
@@ -102,7 +104,7 @@ fn serves_live_metrics_during_a_sweep() {
         "served y = {served_y}, direct y = {}",
         direct.y
     );
-    let trace_id = json_string(&body, "trace_id").expect("trace_id field");
+    let trace_id = eval.field("trace_id", Value::as_str).unwrap();
     assert_eq!(trace_id.len(), 16, "trace id is 16 hex digits: {trace_id}");
 
     // /trace?id= resolves that id to exactly this request's span tree: a
@@ -110,7 +112,8 @@ fn serves_live_metrics_during_a_sweep() {
     // trace id and link back to spans within the tree.
     let (status, doc) = http_get(addr, &format!("/trace?id={trace_id}")).expect("/trace?id=");
     assert_eq!(status, 200);
-    let events = chrome_events(&doc);
+    let trace = json::parse(&doc).expect("/trace answers JSON");
+    let events = trace.field("traceEvents", Value::as_array).unwrap();
     assert!(
         !events.is_empty(),
         "trace {trace_id} resolved nothing: {doc}"
@@ -118,31 +121,26 @@ fn serves_live_metrics_during_a_sweep() {
     assert!(
         events
             .iter()
-            .all(|e| e.contains(&format!("\"trace_id\":\"{trace_id}\""))),
+            .all(|e| arg(e, "trace_id").and_then(Value::as_str) == Some(trace_id)),
         "foreign trace id in {doc}"
     );
+    let id = |event: &Value, key: &str| arg(event, key).and_then(Value::as_u64).expect(key);
     let root = events
         .iter()
-        .find(|e| e.contains("\"serve.eval\""))
+        .find(|e| e.get("name").and_then(Value::as_str) == Some("serve.eval"))
         .expect("serve.eval span in the tree");
-    assert!(
-        root.contains("\"parent_id\":0"),
-        "eval span is the trace root: {root}"
-    );
-    let span_ids: Vec<u64> = events
-        .iter()
-        .map(|e| json_number(e, "span_id").expect("span_id") as u64)
-        .collect();
-    for event in &events {
-        let parent = json_number(event, "parent_id").expect("parent_id") as u64;
+    assert_eq!(id(root, "parent_id"), 0, "eval span is the trace root");
+    let span_ids: Vec<u64> = events.iter().map(|e| id(e, "span_id")).collect();
+    for event in events {
+        let parent = id(event, "parent_id");
         assert!(
             parent == 0 || span_ids.contains(&parent),
-            "span with dangling parent {parent}: {event}"
+            "span with dangling parent {parent}: {event:?}"
         );
     }
     // The solver flight recorder annotated at least one solve span.
     assert!(
-        events.iter().any(|e| e.contains("\"solve.method\"")),
+        events.iter().any(|e| arg(e, "solve.method").is_some()),
         "no solve diagnostics in {doc}"
     );
 
@@ -152,7 +150,7 @@ fn serves_live_metrics_during_a_sweep() {
     assert_eq!(status, 200);
     let line = log
         .lines()
-        .find(|l| l.contains(&trace_id))
+        .find(|l| l.contains(trace_id))
         .expect("wide-event line for the eval");
     assert!(
         line.starts_with("{\"schema\":\"gsu-wide-event-v1\""),
@@ -275,29 +273,7 @@ fn prometheus_value(body: &str, metric: &str) -> Option<f64> {
     })
 }
 
-/// Value of a top-level `"key":number` pair in a flat JSON object.
-fn json_number(body: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let start = body.find(&needle)? + needle.len();
-    let rest = &body[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-/// Value of a top-level `"key":"string"` pair in a flat JSON object.
-fn json_string(body: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":\"");
-    let start = body.find(&needle)? + needle.len();
-    let rest = &body[start..];
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-/// Splits a Chrome `trace_event` document into its individual event objects.
-/// Good enough for assertions: every event the collector renders starts with
-/// `{"name":"` and that byte sequence cannot occur inside one.
-fn chrome_events(doc: &str) -> Vec<String> {
-    doc.split("{\"name\":\"")
-        .skip(1)
-        .map(|chunk| format!("{{\"name\":\"{chunk}"))
-        .collect()
+/// The `args` member `key` of a Chrome trace event.
+fn arg<'a>(event: &'a Value, key: &str) -> Option<&'a Value> {
+    event.get("args")?.get(key)
 }

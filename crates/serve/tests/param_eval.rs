@@ -20,7 +20,7 @@ fn param_override_eval_is_memoized_and_validated() {
     // parameter assignment.
     let (status, body) = http_get(addr, "/eval?phi=2500&mu_new=0.00005").expect("override eval");
     assert_eq!(status, 200, "{body}");
-    let served_y = json_number(&body, "y").expect("y field");
+    let served_y = y_of(&body).expect("y field");
     let params = GsuParams::paper_baseline().with_mu_new(5e-5).unwrap();
     let direct = GsuAnalysis::new(params).unwrap().evaluate(2500.0).unwrap();
     assert!(
@@ -33,7 +33,7 @@ fn param_override_eval_is_memoized_and_validated() {
     // counter stays at one while the hit counter moves.
     let (status, again) = http_get(addr, "/eval?phi=2500&mu_new=0.00005").expect("cached eval");
     assert_eq!(status, 200);
-    assert_eq!(json_number(&again, "y"), Some(served_y));
+    assert_eq!(y_of(&again), Some(served_y));
     assert_eq!(
         collector.counter_value("serve.analysis_cache.misses"),
         Some(1)
@@ -46,7 +46,7 @@ fn param_override_eval_is_memoized_and_validated() {
     // A different assignment is a fresh build, not a stale cache hit.
     let (status, other) = http_get(addr, "/eval?phi=2500&mu_new=0.0002").expect("second override");
     assert_eq!(status, 200);
-    assert_ne!(json_number(&other, "y"), Some(served_y));
+    assert_ne!(y_of(&other), Some(served_y));
     assert_eq!(
         collector.counter_value("serve.analysis_cache.misses"),
         Some(2)
@@ -93,11 +93,7 @@ fn param_override_eval_is_memoized_and_validated() {
     telemetry::clear_sink();
 }
 
-/// Value of a top-level `"key":number` pair in a flat JSON object.
-fn json_number(body: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let start = body.find(&needle)? + needle.len();
-    let rest = &body[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
+/// The `y` field of an `/eval` answer.
+fn y_of(body: &str) -> Option<f64> {
+    telemetry::json::parse(body).ok()?.get("y")?.as_f64()
 }

@@ -39,7 +39,7 @@ fn scenario_eval_round_trip_and_structured_errors() {
     let (status, body) = http_get(addr, "/eval?scenario=tiny&phi=25").expect("/eval scenario");
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"scenario\":\"tiny\""), "{body}");
-    let served_y = json_number(&body, "y").expect("y field");
+    let served_y = y_of(&body).expect("y field");
     let spec = gsu_scenario::parse(TINY).unwrap();
     let direct = gsu_scenario::ScenarioAnalysis::new(spec)
         .unwrap()
@@ -54,7 +54,7 @@ fn scenario_eval_round_trip_and_structured_errors() {
     // A second request hits the cached analysis and must agree exactly.
     let (status, again) = http_get(addr, "/eval?scenario=tiny&phi=25").expect("cached eval");
     assert_eq!(status, 200);
-    assert_eq!(json_number(&again, "y"), Some(served_y));
+    assert_eq!(y_of(&again), Some(served_y));
 
     // Unknown scenario names, and φ failures on a valid scenario, must each
     // name their own parameter in the structured 400 body.
@@ -100,11 +100,7 @@ fn scenario_eval_round_trip_and_structured_errors() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Value of a top-level `"key":number` pair in a flat JSON object.
-fn json_number(body: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let start = body.find(&needle)? + needle.len();
-    let rest = &body[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
+/// The `y` field of an `/eval` answer.
+fn y_of(body: &str) -> Option<f64> {
+    telemetry::json::parse(body).ok()?.get("y")?.as_f64()
 }

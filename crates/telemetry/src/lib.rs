@@ -16,10 +16,10 @@
 //!   thread.
 //!
 //! Dependency policy: this crate is **pure `std`** (`Instant`, atomics, a
-//! `Mutex`-guarded sink, hand-rolled JSON). The crates.io registry is
-//! unreachable in some build environments this workspace targets, and the
-//! telemetry layer sits below every other crate, so it must not pull in
-//! anything.
+//! `Mutex`-guarded sink, and [`json`], the workspace's one JSON reader and
+//! writer). The crates.io registry is unreachable in some build
+//! environments this workspace targets, and the telemetry layer sits below
+//! every other crate, so it must not pull in anything.
 //!
 //! # Example
 //!
@@ -41,7 +41,7 @@
 mod buckets;
 mod collector;
 mod diag;
-mod json;
+pub mod json;
 mod log;
 pub mod prometheus;
 pub mod window;

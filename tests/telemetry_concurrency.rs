@@ -13,7 +13,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use telemetry::Snapshot;
+use telemetry::{json, Snapshot};
 
 const WORKERS: usize = 4;
 const EMISSIONS_PER_WORKER: u64 = 2_000;
@@ -228,11 +228,9 @@ fn assert_valid_exports(snapshot: &Snapshot) {
     if !text.is_empty() {
         gsu_serve::validate_exposition(&text).expect("valid Prometheus exposition");
     }
-    let report = snapshot.run_report_json();
-    assert!(report.starts_with("{\"schema\":\"gsu-telemetry-v3\""));
+    let report = json::parse(&snapshot.run_report_json()).expect("run report is JSON");
     assert_eq!(
-        report.matches('{').count(),
-        report.matches('}').count(),
-        "unbalanced braces in run report"
+        report.field("schema", json::Value::as_str),
+        Ok("gsu-telemetry-v3")
     );
 }

@@ -2,6 +2,8 @@
 //! parameter sets and random SAN topologies must preserve the structural
 //! invariants of the analysis.
 
+use std::path::Path;
+
 use guarded_upgrade::prelude::*;
 use proptest::prelude::*;
 use san::ReachabilityOptions;
@@ -141,6 +143,37 @@ proptest! {
             PathClass::S1 => {
                 prop_assert!(out.detection_time.is_none());
                 prop_assert!(out.failure_time.is_none());
+            }
+        }
+    }
+}
+
+/// Guards hand edits of the committed artifacts: every `results/**/*.json`
+/// document and every line of `results/lint-findings.jsonl` must parse
+/// under the strict reader the gates use.
+#[test]
+fn committed_json_artifacts_parse_strictly() {
+    let mut dirs = vec![Path::new(env!("CARGO_MANIFEST_DIR")).join("results")];
+    while let Some(dir) = dirs.pop() {
+        for path in std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path()) {
+            let ext = path
+                .extension()
+                .and_then(|e| e.to_str())
+                .unwrap_or_default();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if ext == "json" || ext == "jsonl" {
+                let text = std::fs::read_to_string(&path).unwrap();
+                let docs = if ext == "json" {
+                    vec![text.as_str()]
+                } else {
+                    text.lines().collect()
+                };
+                for doc in docs {
+                    if let Err(e) = telemetry::json::parse(doc) {
+                        panic!("{}: {e}", path.display());
+                    }
+                }
             }
         }
     }
