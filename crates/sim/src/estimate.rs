@@ -3,7 +3,7 @@
 use performability::{GsuParams, PerfError};
 
 use crate::fast::{calibrate, simulate_run_hybrid};
-use crate::{simulate_run, PathClass, SimConfig, SimRng};
+use crate::{simulate_run, GammaMode, PathClass, SimConfig, SimRng};
 
 /// Which simulation engine a [`MonteCarlo`] experiment uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -243,16 +243,35 @@ pub fn estimate_y(
     replications: usize,
     seed: u64,
 ) -> Result<YEstimate, PerfError> {
-    let guarded = MonteCarlo::new(SimConfig::new(params, phi)?)
-        .with_replications(replications)
-        .with_seed(seed)
-        .run();
-    let unguarded = MonteCarlo::new(SimConfig::new(params, 0.0)?)
-        .with_replications(replications)
-        .with_seed(seed.wrapping_add(0x5EED))
-        .run();
+    let guarded = SimConfig::new(params, phi)?;
+    estimate_pair(guarded, replications, seed, EngineKind::default())
+}
 
-    let ideal = 2.0 * params.theta;
+/// Runs `guarded` and its unguarded (φ = 0) counterpart on `engine` with
+/// seeds `seed` and `seed + 0x5EED`, and evaluates Eq. 1 on them.
+fn estimate_pair(
+    guarded: SimConfig,
+    replications: usize,
+    seed: u64,
+    engine: EngineKind,
+) -> Result<YEstimate, PerfError> {
+    let unguarded = SimConfig::new(guarded.params, 0.0)?;
+    let run = |cfg, seed| {
+        MonteCarlo::new(cfg)
+            .with_engine(engine)
+            .with_replications(replications)
+            .with_seed(seed)
+            .run()
+    };
+    let guarded_run = run(guarded, seed);
+    let unguarded_run = run(unguarded, seed.wrapping_add(0x5EED));
+    Ok(y_estimate(guarded.params.theta, guarded_run, unguarded_run))
+}
+
+/// Evaluates Eq. 1 on the sample means of a guarded and an unguarded run:
+/// `Y = (2θ − E[W₀]) / (2θ − E[W_φ])`, `NaN` when a side is not positive.
+fn y_estimate(theta: f64, guarded: SimSummary, unguarded: SimSummary) -> YEstimate {
+    let ideal = 2.0 * theta;
     let denom = ideal - guarded.mean_worth;
     let numer = ideal - unguarded.mean_worth;
     let y = if denom > 0.0 { numer / denom } else { f64::NAN };
@@ -267,12 +286,12 @@ pub fn estimate_y(
         f64::NAN
     };
 
-    Ok(YEstimate {
+    YEstimate {
         y,
         half_width_95: half_width,
         guarded,
         unguarded,
-    })
+    }
 }
 
 /// Estimates `Y(φ)` like [`estimate_y`], but with the guarded run's `S2`
@@ -294,36 +313,8 @@ pub fn estimate_y_matched(
     seed: u64,
     engine: EngineKind,
 ) -> Result<YEstimate, PerfError> {
-    let guarded_cfg = SimConfig::new(params, phi)?.with_gamma(crate::GammaMode::Constant(gamma));
-    let guarded = MonteCarlo::new(guarded_cfg)
-        .with_engine(engine)
-        .with_replications(replications)
-        .with_seed(seed)
-        .run();
-    let unguarded = MonteCarlo::new(SimConfig::new(params, 0.0)?)
-        .with_engine(engine)
-        .with_replications(replications)
-        .with_seed(seed.wrapping_add(0x5EED))
-        .run();
-
-    let ideal = 2.0 * params.theta;
-    let denom = ideal - guarded.mean_worth;
-    let numer = ideal - unguarded.mean_worth;
-    let y = if denom > 0.0 { numer / denom } else { f64::NAN };
-    let half_width = if denom > 0.0 && numer > 0.0 {
-        y * ((unguarded.worth_half_width_95 / numer).powi(2)
-            + (guarded.worth_half_width_95 / denom).powi(2))
-        .sqrt()
-    } else {
-        f64::NAN
-    };
-
-    Ok(YEstimate {
-        y,
-        half_width_95: half_width,
-        guarded,
-        unguarded,
-    })
+    let guarded = SimConfig::new(params, phi)?.with_gamma(GammaMode::Constant(gamma));
+    estimate_pair(guarded, replications, seed, engine)
 }
 
 /// Estimates `Y(φ)` over a whole φ grid — the simulation counterpart of
@@ -343,33 +334,13 @@ pub fn estimate_y_curve(
         .with_replications(replications)
         .with_seed(seed.wrapping_add(0x5EED))
         .run();
-    let ideal = 2.0 * params.theta;
-    let numer = ideal - unguarded.mean_worth;
-
     phis.iter()
         .map(|&phi| {
             let guarded = MonteCarlo::new(SimConfig::new(params, phi)?)
                 .with_replications(replications)
                 .with_seed(seed.wrapping_add(phi.to_bits()))
                 .run();
-            let denom = ideal - guarded.mean_worth;
-            let y = if denom > 0.0 { numer / denom } else { f64::NAN };
-            let half_width = if denom > 0.0 && numer > 0.0 {
-                y * ((unguarded.worth_half_width_95 / numer).powi(2)
-                    + (guarded.worth_half_width_95 / denom).powi(2))
-                .sqrt()
-            } else {
-                f64::NAN
-            };
-            Ok((
-                phi,
-                YEstimate {
-                    y,
-                    half_width_95: half_width,
-                    guarded,
-                    unguarded: unguarded.clone(),
-                },
-            ))
+            Ok((phi, y_estimate(params.theta, guarded, unguarded.clone())))
         })
         .collect()
 }

@@ -1,8 +1,8 @@
 //! Pins the paper's figure curves and the tornado baseline to the committed
 //! artifacts: every Figure 9–12 and §6 low-coverage parameter family is
-//! rebuilt exactly as its binary builds it, and Y, S1, S2 and γ must match
-//! `results/fig{9,10,11,12}.csv` and `results/lowcov.csv` to 1e-9
-//! (relative; absolute where the committed value is 0). The baseline
+//! rebuilt exactly as its `gsu-bench` experiment builds it, and Y, S1, S2
+//! and γ must match `results/fig{9,10,11,12}.csv` and `results/lowcov.csv`
+//! to 1e-9 (relative; absolute where the committed value is 0). The baseline
 //! optimum and its ±10% local sensitivities are pinned to the numbers the
 //! pipeline produced when these curves were committed.
 
