@@ -184,11 +184,6 @@ impl GsuAnalysis {
         &self.rmgd_analyzer
     }
 
-    /// The place handles of the lowered `RMGd`.
-    pub fn gd_places(&self) -> &GdPlaces {
-        &self.rmgd_places
-    }
-
     /// Solves all nine constituent reward variables for a G-OP duration φ.
     ///
     /// # Errors

@@ -286,7 +286,7 @@ mod tests {
 
     #[test]
     fn vendor_is_skipped() {
-        assert!(rules("crates/vendor/rand/src/lib.rs", "unsafe { }").is_empty());
+        assert!(rules("crates/vendor/proptest/src/lib.rs", "unsafe { }").is_empty());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   Fox–Glynn Poisson weights or by dense **matrix exponential**
 //!   (scaling-and-squaring, Padé 13) for stiff horizons;
 //! * [`steady`] — steady-state distributions by direct LU, Gauss–Seidel,
-//!   SOR, or power iteration, plus absorbing-chain analysis;
+//!   or BiCGStab, plus absorbing-chain analysis;
 //! * [`reward`] — UltraSAN-style reward variables: expected instant-of-time
 //!   reward, expected accumulated interval-of-time reward, expected
 //!   steady-state reward, with both rate and impulse rewards;

@@ -18,7 +18,10 @@
 //!   style used by Tables 1 and 2 of the paper, mapped onto the generated
 //!   chain;
 //! * A convenience [`Analyzer`] that runs the instant-of-time,
-//!   interval-of-time, and steady-state reward solutions end to end.
+//!   interval-of-time, and steady-state reward solutions end to end;
+//! * A discrete-event simulator ([`simulate`]) drawing from [`SimRng`],
+//!   the workspace's one seeded random source (the MDCD protocol simulator
+//!   re-exports it).
 //!
 //! # Example: an M/M/1/3 queue as a SAN
 //!
@@ -58,6 +61,7 @@ mod marking;
 mod model;
 mod reachability;
 mod reward;
+mod rng;
 mod semantics;
 pub mod simulate;
 pub mod structural;
@@ -70,6 +74,7 @@ pub use model::{
 };
 pub use reachability::{ReachabilityOptions, StateSpace};
 pub use reward::RewardSpec;
+pub use rng::SimRng;
 
 /// Convenience alias for results produced by this crate.
 pub type Result<T> = std::result::Result<T, SanError>;

@@ -11,60 +11,40 @@
 //! The estimator intentionally shares **no code** with the reachability /
 //! CTMC path, so agreement between the two is a meaningful end-to-end test
 //! (see `estimate_instant_reward` tests and the workspace integration
-//! suite).
+//! suite). Randomness comes from the workspace's one generator,
+//! [`SimRng`]; replication `i` of a seeded estimate draws from
+//! `SimRng::stream(seed, i)`.
 
 use crate::model::ActivityKind;
 use crate::semantics;
-use crate::{Marking, Result, RewardSpec, SanError, SanModel};
+use crate::{ActivityId, Marking, Result, RewardSpec, SanError, SanModel, SimRng};
 
-/// A deterministic pseudo-random source for SAN simulation (SplitMix64 —
-/// kept dependency-free because this crate otherwise needs no RNG).
-#[derive(Debug, Clone)]
-pub struct SanRng {
-    state: u64,
+/// Draws a key from non-empty `(key, weight)` pairs with probability
+/// `weight / total`; the last key absorbs rounding slack.
+fn pick<T: Copy>(rng: &mut SimRng, weights: &[(T, f64)], total: f64) -> T {
+    let u = rng.uniform() * total;
+    let mut acc = 0.0;
+    for &(key, w) in weights {
+        acc += w;
+        if u < acc {
+            return key;
+        }
+    }
+    weights[weights.len() - 1].0
 }
 
-impl SanRng {
-    /// Creates a generator from a seed.
-    pub fn from_seed(seed: u64) -> Self {
-        SanRng {
-            state: seed.wrapping_add(0x9E37_79B9_7F4A_7C15),
-        }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw in `[0, 1)`.
-    pub fn uniform(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Exponential draw with the given rate (∞ for rate 0).
-    pub fn exp(&mut self, rate: f64) -> f64 {
-        if rate <= 0.0 {
-            return f64::INFINITY;
-        }
-        -(1.0 - self.uniform()).ln() / rate
-    }
-
-    /// Index drawn from normalized weights.
-    fn pick(&mut self, weights: &[(usize, f64)]) -> usize {
-        let u = self.uniform();
-        let mut acc = 0.0;
-        for &(idx, w) in weights {
-            acc += w;
-            if u < acc {
-                return idx;
-            }
-        }
-        weights.last().map(|&(idx, _)| idx).unwrap_or(0)
-    }
+/// Fires one of the non-empty `enabled` activities, drawn with probability
+/// `weight / total`, in one of its cases, drawn by case probability.
+fn fire_random(
+    model: &SanModel,
+    marking: &Marking,
+    enabled: &[(ActivityId, f64)],
+    total: f64,
+    rng: &mut SimRng,
+) -> Result<Marking> {
+    let act = pick(rng, enabled, total);
+    let cases = semantics::case_distribution(model, act, marking)?;
+    semantics::fire(model, act, pick(rng, &cases, 1.0), marking)
 }
 
 /// Execution limits for a simulated trajectory.
@@ -114,7 +94,7 @@ pub fn simulate_trajectory(
     spec: &RewardSpec,
     horizon: f64,
     opts: &SimulationOptions,
-    rng: &mut SanRng,
+    rng: &mut SimRng,
 ) -> Result<Trajectory> {
     let mut marking = model.initial_marking();
     let mut t = 0.0;
@@ -148,25 +128,8 @@ pub fn simulate_trajectory(
             });
         }
 
-        // Select the firing activity proportionally to its rate.
-        let weighted: Vec<(usize, f64)> = enabled
-            .iter()
-            .enumerate()
-            .map(|(k, &(_, r))| (k, r / total_rate))
-            .collect();
-        let (act, _) = enabled[rng.pick(&weighted)];
-
-        // Select a case and fire.
-        let cases = semantics::case_distribution(model, act, &marking)?;
-        let case = cases[rng.pick(
-            &cases
-                .iter()
-                .enumerate()
-                .map(|(k, &(_, p))| (k, p))
-                .collect::<Vec<_>>(),
-        )]
-        .0;
-        marking = semantics::fire(model, act, case, &marking)?;
+        // The firing activity is drawn proportionally to its rate.
+        marking = fire_random(model, &marking, &enabled, total_rate, rng)?;
         resolve_instantaneous(model, &mut marking, opts, rng)?;
     }
 }
@@ -175,29 +138,14 @@ fn resolve_instantaneous(
     model: &SanModel,
     marking: &mut Marking,
     opts: &SimulationOptions,
-    rng: &mut SanRng,
+    rng: &mut SimRng,
 ) -> Result<()> {
     for _ in 0..opts.max_vanishing_depth {
         let enabled = semantics::enabled_instantaneous(model, marking)?;
         if enabled.is_empty() {
             return Ok(());
         }
-        let weighted: Vec<(usize, f64)> = enabled
-            .iter()
-            .enumerate()
-            .map(|(k, &(_, p))| (k, p))
-            .collect();
-        let (act, _) = enabled[rng.pick(&weighted)];
-        let cases = semantics::case_distribution(model, act, marking)?;
-        let case = cases[rng.pick(
-            &cases
-                .iter()
-                .enumerate()
-                .map(|(k, &(_, p))| (k, p))
-                .collect::<Vec<_>>(),
-        )]
-        .0;
-        *marking = semantics::fire(model, act, case, marking)?;
+        *marking = fire_random(model, marking, &enabled, 1.0, rng)?;
     }
     // Exhausted the depth: find a name for the error.
     let name = model
@@ -271,7 +219,7 @@ fn estimate<F: Fn(&Trajectory) -> f64>(
     let mut sum = 0.0;
     let mut sq = 0.0;
     for i in 0..n {
-        let mut rng = SanRng::from_seed(seed ^ (i as u64).wrapping_mul(0x9E37_79B9));
+        let mut rng = SimRng::stream(seed, i as u64);
         let tr = simulate_trajectory(model, spec, t, opts, &mut rng)?;
         let v = extract(&tr);
         sum += v;
@@ -314,7 +262,7 @@ pub fn estimate_steady_reward(
             context: format!("batch length must be finite and > 0, got {batch_length}"),
         });
     }
-    let mut rng = SanRng::from_seed(seed);
+    let mut rng = SimRng::from_seed(seed);
     let mut marking = model.initial_marking();
     resolve_instantaneous(model, &mut marking, opts, &mut rng)?;
 
@@ -341,22 +289,7 @@ pub fn estimate_steady_reward(
                         limit: opts.max_events,
                     });
                 }
-                let weighted: Vec<(usize, f64)> = enabled
-                    .iter()
-                    .enumerate()
-                    .map(|(k, &(_, r))| (k, r / total_rate))
-                    .collect();
-                let (act, _) = enabled[rng.pick(&weighted)];
-                let cases = semantics::case_distribution(model, act, &marking)?;
-                let case = cases[rng.pick(
-                    &cases
-                        .iter()
-                        .enumerate()
-                        .map(|(k, &(_, p))| (k, p))
-                        .collect::<Vec<_>>(),
-                )]
-                .0;
-                marking = semantics::fire(model, act, case, &marking)?;
+                marking = fire_random(model, &marking, &enabled, total_rate, &mut rng)?;
                 resolve_instantaneous(model, &mut marking, opts, &mut rng)?;
             }
         }
@@ -401,8 +334,8 @@ mod tests {
     fn trajectory_is_deterministic_per_seed() {
         let (m, up) = up_down();
         let spec = RewardSpec::new().rate_when(move |mk| mk.tokens(up) == 1, 1.0);
-        let mut a = SanRng::from_seed(3);
-        let mut b = SanRng::from_seed(3);
+        let mut a = SimRng::from_seed(3);
+        let mut b = SimRng::from_seed(3);
         let ta = simulate_trajectory(&m, &spec, 10.0, &Default::default(), &mut a).unwrap();
         let tb = simulate_trajectory(&m, &spec, 10.0, &Default::default(), &mut b).unwrap();
         assert_eq!(ta, tb);
@@ -484,7 +417,7 @@ mod tests {
         m.add_activity(Activity::timed("die", 10.0).with_input_arc(p, 1))
             .unwrap();
         let spec = RewardSpec::new().rate_when(move |mk| mk.tokens(p) == 0, 1.0);
-        let mut rng = SanRng::from_seed(1);
+        let mut rng = SimRng::from_seed(1);
         let tr = simulate_trajectory(&m, &spec, 100.0, &Default::default(), &mut rng).unwrap();
         assert_eq!(tr.final_marking.tokens(p), 0);
         assert!(tr.accumulated_reward > 90.0);
@@ -510,7 +443,7 @@ mod tests {
         let mut hits_a = 0;
         let n = 3000;
         for seed in 0..n {
-            let mut rng = SanRng::from_seed(seed);
+            let mut rng = SimRng::from_seed(seed);
             let tr = simulate_trajectory(&m, &spec, 1.0, &Default::default(), &mut rng).unwrap();
             if tr.final_marking.tokens(a) == 1 {
                 hits_a += 1;
@@ -539,7 +472,7 @@ mod tests {
         )
         .unwrap();
         let spec = RewardSpec::new();
-        let mut rng = SanRng::from_seed(9);
+        let mut rng = SimRng::from_seed(9);
         let tr = simulate_trajectory(&m, &spec, 50.0, &Default::default(), &mut rng).unwrap();
         assert_eq!(tr.final_marking.tokens(mid), 0);
         assert_eq!(tr.final_marking.tokens(done), 1);
@@ -563,7 +496,7 @@ mod tests {
         )
         .unwrap();
         let spec = RewardSpec::new();
-        let mut rng = SanRng::from_seed(2);
+        let mut rng = SimRng::from_seed(2);
         assert!(matches!(
             simulate_trajectory(&m, &spec, 1.0, &Default::default(), &mut rng),
             Err(SanError::VanishingLoop { .. })
@@ -578,7 +511,7 @@ mod tests {
             max_events: 5,
             ..Default::default()
         };
-        let mut rng = SanRng::from_seed(4);
+        let mut rng = SimRng::from_seed(4);
         assert!(matches!(
             simulate_trajectory(&m, &spec, 1e9, &opts, &mut rng),
             Err(SanError::StateSpaceLimit { limit: 5 })

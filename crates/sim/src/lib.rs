@@ -48,7 +48,6 @@ pub mod distribution;
 mod engine;
 mod estimate;
 pub mod fast;
-mod rng;
 pub mod shadow;
 pub mod trace;
 
@@ -59,6 +58,7 @@ pub use estimate::{
     estimate_y, estimate_y_curve, estimate_y_matched, EngineKind, MonteCarlo, SimSummary, YEstimate,
 };
 pub use fast::{calibrate, simulate_run_hybrid, Calibration};
-pub use rng::SimRng;
+/// The workspace's seeded generator, shared with the SAN simulator.
+pub use san::SimRng;
 pub use shadow::{run_until_admitted, simulate_validation, CampaignOutcome, ValidationLog};
 pub use trace::{simulate_run_traced, MissionTrace, TraceEvent};

@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example simulation_validation`
 
 use guarded_upgrade::prelude::*;
-use mdcd_sim::simulate_run;
+use mdcd_sim::{estimate_y_matched, simulate_run};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let params = GsuParams::paper_baseline();
@@ -20,19 +20,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Simulation side, using the same (constant) γ convention as the
     // analytic pipeline for a like-for-like comparison.
-    let cfg = SimConfig::new(params, phi)?.with_gamma(GammaMode::Constant(analytic.gamma));
-    let guarded = MonteCarlo::new(cfg)
-        .with_replications(4000)
-        .with_seed(17)
-        .run();
-    let unguarded = MonteCarlo::new(SimConfig::new(params, 0.0)?)
-        .with_replications(4000)
-        .with_seed(18)
-        .run();
-    let ideal = 2.0 * params.theta;
-    let y_sim = (ideal - unguarded.mean_worth) / (ideal - guarded.mean_worth);
+    let sim = estimate_y_matched(params, phi, analytic.gamma, 4000, 17, EngineKind::Hybrid)?;
+    let (guarded, unguarded) = (&sim.guarded, &sim.unguarded);
     println!(
-        "simulated: Y({phi}) = {y_sim:.4}  (E[Wφ] = {:.0} ± {:.0}, E[W0] = {:.0} ± {:.0})",
+        "simulated: Y({phi}) = {:.4} ± {:.4}  (E[Wφ] = {:.0} ± {:.0}, E[W0] = {:.0} ± {:.0})",
+        sim.y,
+        sim.half_width_95,
         guarded.mean_worth,
         guarded.worth_half_width_95,
         unguarded.mean_worth,

@@ -28,6 +28,16 @@ GSU_THREADS=4 cargo test --offline --workspace -q
 
 cargo build --offline --release -p gsu-serve -p gsu-bench -p gsu-lint --bins
 
+# Examples: clippy --all-targets only compiles them; run each once so a
+# runtime error or panic in one fails the gate.
+echo "==> examples"
+cargo build --offline --release --examples
+for example in examples/*.rs; do
+    name="$(basename "$example" .rs)"
+    echo "    $name"
+    target/release/examples/"$name" > /dev/null
+done
+
 # Static-analysis gate: the linter first proves it can catch seeded
 # violations (self-test), then must find nothing deniable in the tree.
 # --emit-telemetry refreshes results/lint-findings.jsonl for /metrics.

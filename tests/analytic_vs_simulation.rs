@@ -2,6 +2,7 @@
 //! discrete-event simulator agree.
 
 use guarded_upgrade::prelude::*;
+use mdcd_sim::estimate_y_matched;
 
 /// Scaled-down scenario where the event-exact engine is cheap.
 fn small_params() -> GsuParams {
@@ -52,20 +53,9 @@ fn analytic_matches_simulation_under_matched_gamma() {
     let analysis = GsuAnalysis::new(params).unwrap();
     for phi in [3000.0, 7000.0] {
         let a = analysis.evaluate(phi).unwrap();
-        let guarded = MonteCarlo::new(
-            SimConfig::new(params, phi)
-                .unwrap()
-                .with_gamma(GammaMode::Constant(a.gamma)),
-        )
-        .with_replications(4000)
-        .with_seed(21)
-        .run();
-        let unguarded = MonteCarlo::new(SimConfig::new(params, 0.0).unwrap())
-            .with_replications(4000)
-            .with_seed(22)
-            .run();
-        let ideal = 2.0 * params.theta;
-        let y_sim = (ideal - unguarded.mean_worth) / (ideal - guarded.mean_worth);
+        let y_sim = estimate_y_matched(params, phi, a.gamma, 4000, 21, EngineKind::Hybrid)
+            .unwrap()
+            .y;
         assert!(
             (a.y - y_sim).abs() / a.y < 0.06,
             "φ={phi}: analytic {} vs simulated {y_sim}",

@@ -205,7 +205,7 @@ fn vanishing_loops_in_user_models_are_detected_not_hung() {
         Err(SanError::VanishingLoop { .. })
     ));
     let spec = RewardSpec::new();
-    let mut rng = san::simulate::SanRng::from_seed(1);
+    let mut rng = SimRng::from_seed(1);
     assert!(matches!(
         san::simulate::simulate_trajectory(&m, &spec, 1.0, &Default::default(), &mut rng),
         Err(SanError::VanishingLoop { .. })
